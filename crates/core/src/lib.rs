@@ -82,10 +82,7 @@ pub use instance::{
     is_overloaded, max_streams_by_threads, threads_for_streams, AdmissionController, Placement,
     DEFAULT_THREAD_BUDGET,
 };
-pub use rt_engine::{
-    run_multi_pipeline_rt, run_multi_pipeline_rt_faulted, run_multi_pipeline_rt_robust,
-    run_pipeline_rt, run_pipeline_rt_recal, MultiRtResult, RtResult, StreamHealth, SurvivingFrame,
-};
+pub use rt_engine::{run_multi_pipeline_rt, MultiRtResult, RtEngine, StreamHealth, SurvivingFrame};
 pub use serve::{
     install_signal_drain, signal_drain_requested, Daemon, DrainHandle, DrainReport, ResolvedStream,
     ServeConfig, StreamSpec,

@@ -4,21 +4,29 @@
 //! inside the stages. This engine demonstrates the system on real
 //! computation; the discrete-event engine (`sim`) reproduces the paper's
 //! timing figures on the calibrated device substrate.
+//!
+//! There is one engine, [`RtEngine`], configured with the same builder the
+//! DES [`Engine`](crate::sim::Engine) has; a single stream is a one-element
+//! `streams` vector. Each per-stream stage body (SDD verdict, SNM batch
+//! verdict) is written once over per-stream state and run by either
+//! scheduling layout — a supervised thread per stream per stage, or a slot
+//! in a sharded worker pool.
 
 use crate::checkpoint::{load_all, write_stream_checkpoint, CheckpointSpec, StreamCheckpoint};
 use crate::config::{FfsVaConfig, Precision, StreamThresholds};
+use crate::tune::{DriftConfig, DriftDetector};
 use ffsva_models::bank::FilterBank;
 use ffsva_models::tyolo::TinyYolo;
-use ffsva_models::{Scratch, SddFilter};
+use ffsva_models::{Scratch, SddFilter, SnmModel};
 use ffsva_sched::{
-    spawn_batch_stage_faulted, spawn_batch_stage_instrumented, spawn_filter_stage_faulted,
-    spawn_filter_stage_instrumented, spawn_stage_pool, supervise, DegradePolicy, FaultAction,
-    FaultPlan, FaultStage, FeedbackQueue, IngestCore, IngestOutput, PoolPolicy, PoolSlot,
-    PoolStreamOutcome, StageFaultCtx, StageOutcome, SupervisorPolicy, SupervisorTelemetry,
-    WatchEntry, Watchdog,
+    spawn_batch_stage_faulted, spawn_filter_stage_faulted, spawn_stage_pool, supervise,
+    BatchPolicy, DegradePolicy, FaultAction, FaultInjector, FaultPlan, FaultStage, FeedbackQueue,
+    IngestCore, IngestOutput, IngestStats, PoolPolicy, PoolSlot, StageFailure, StageFaultCtx,
+    StageOutcome, SupervisedStage, SupervisorPolicy, SupervisorTelemetry, WatchEntry, Watchdog,
 };
 use ffsva_telemetry::{
-    PoolTelemetry, QueueTelemetry, StageTelemetry, Telemetry, TelemetrySnapshot, LATENCY_BOUNDS_US,
+    Counter, Histogram, PoolTelemetry, QueueTelemetry, StageTelemetry, Telemetry,
+    TelemetrySnapshot, LATENCY_BOUNDS_US,
 };
 use ffsva_video::{
     frame_checksum, plan_reconnect, ClipSource, Frame, LabeledFrame, ReconnectOutcome,
@@ -27,10 +35,8 @@ use ffsva_video::{
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-use crate::tune::{DriftConfig, DriftDetector};
 
 /// A frame in flight through the threaded pipeline, stamped with its
 /// pipeline-entry instant so stages can record end-to-end latency at the
@@ -41,12 +47,20 @@ fn elapsed_us(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e6
 }
 
+/// Lock per-stream stage state. A panic inside a model call (contained by
+/// the stage's `catch_unwind`) poisons the mutex, but every update below
+/// leaves the state valid at each step, so the next incarnation recovers the
+/// guard and carries on.
+fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Run the SNM batch forward at the configured precision. Both paths are
 /// batching-invariant (batched output bit-identical to per-frame), so the
 /// survivor set depends only on the precision choice, never on how the
 /// engine happened to compose batches.
 fn snm_predict(
-    snm: &mut ffsva_models::SnmModel,
+    snm: &mut SnmModel,
     precision: Precision,
     frames: &[&Frame],
     scratch: &mut Scratch,
@@ -79,470 +93,6 @@ pub struct SurvivingFrame {
     pub pts_ms: u64,
     /// Objects the reference model reports for the frame.
     pub reference_count: usize,
-}
-
-/// Result of a threaded pipeline run over one stream's clip.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RtResult {
-    pub total_frames: u64,
-    /// Frames processed by each stage (SDD, SNM, T-YOLO, reference).
-    pub stage_processed: [u64; 4],
-    /// Frames that survived the cascade, with reference-model output.
-    pub survivors: Vec<SurvivingFrame>,
-    pub wall_time_s: f64,
-    pub throughput_fps: f64,
-    /// Every named series the run emitted (DESIGN.md §Telemetry). Frame
-    /// counters carry the same names and values as the DES engine's.
-    #[serde(default)]
-    pub telemetry: TelemetrySnapshot,
-}
-
-/// Run one stream's clip through a real threaded four-stage pipeline.
-///
-/// The bank is consumed: its models move into the stage threads (SDD into
-/// the SDD thread, SNM into the SNM batch thread, and so on), exactly one
-/// owner per filter.
-pub fn run_pipeline_rt(clip: Vec<LabeledFrame>, bank: FilterBank, cfg: &FfsVaConfig) -> RtResult {
-    let start = Instant::now();
-    let total = clip.len() as u64;
-
-    let FilterBank {
-        target,
-        sdd,
-        mut snm,
-        tyolo,
-        reference,
-        ..
-    } = bank;
-    let t_pre = snm.t_pre(cfg.filter_degree);
-    // 0 is the any-motion query: T-YOLO imposes no count requirement
-    // (matching `FrameTrace::tyolo_pass`), so no clamping to 1 here.
-    let number_of_objects = cfg.number_of_objects;
-    let tyolo = Arc::new(tyolo);
-
-    let tel = Telemetry::new();
-    let lat_e2e = tel.histogram("latency.e2e_us", LATENCY_BOUNDS_US);
-    let lat_ref = tel.histogram("latency.ref_us", LATENCY_BOUNDS_US);
-
-    // Stage queues at the paper's depth thresholds.
-    let q_sdd: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.sdd_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.sdd"),
-    );
-    let q_snm: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.snm_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.snm"),
-    );
-    let q_tyolo: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.tyolo_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.tyolo"),
-    );
-    let q_ref: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.reference_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.reference"),
-    );
-    let q_out: FeedbackQueue<SurvivingFrame> = FeedbackQueue::new(1024);
-
-    // SDD stage (CPU in the paper).
-    let delta = sdd.delta_diff;
-    let lat = lat_e2e.clone();
-    let h_sdd = spawn_filter_stage_instrumented(
-        "sdd",
-        q_sdd.clone(),
-        q_snm.clone(),
-        StageTelemetry::register(&tel, "stream0.sdd"),
-        {
-            let mut scratch = Scratch::new();
-            move |(t0, lf): InFlight| {
-                if sdd.distance_with(&lf.frame, &mut scratch) > delta {
-                    Some((t0, lf))
-                } else {
-                    lat.record(elapsed_us(t0));
-                    None
-                }
-            }
-        },
-    );
-
-    // SNM stage with batch formation (GPU-0 in the paper).
-    let policy = cfg.batch_policy;
-    let precision = cfg.snm_precision;
-    let c_batches = tel.counter("snm.batches");
-    let lat = lat_e2e.clone();
-    let h_snm = spawn_batch_stage_instrumented(
-        "snm",
-        q_snm,
-        q_tyolo.clone(),
-        policy,
-        StageTelemetry::register(&tel, "stream0.snm"),
-        {
-            let mut scratch = Scratch::new();
-            move |batch: Vec<InFlight>| {
-                c_batches.inc();
-                let frames: Vec<&Frame> = batch.iter().map(|(_, lf)| &lf.frame).collect();
-                let probs = snm_predict(&mut snm, precision, &frames, &mut scratch);
-                batch
-                    .into_iter()
-                    .zip(probs)
-                    .filter_map(|((t0, lf), p)| {
-                        if p >= t_pre {
-                            Some((t0, lf))
-                        } else {
-                            lat.record(elapsed_us(t0));
-                            None
-                        }
-                    })
-                    .collect()
-            }
-        },
-    );
-
-    // T-YOLO stage (shared model; GPU-0 in the paper). In the single-stream
-    // pipeline every invocation is one round-robin cycle of one frame.
-    let ty = Arc::clone(&tyolo);
-    let c_cycles = tel.counter("tyolo.cycles");
-    let lat = lat_e2e.clone();
-    let ty_precision = cfg.tyolo_precision;
-    let h_tyolo = spawn_filter_stage_instrumented(
-        "tyolo",
-        q_tyolo,
-        q_ref.clone(),
-        StageTelemetry::register(&tel, "stream0.tyolo"),
-        {
-            let mut scratch = Scratch::new();
-            move |(t0, lf): InFlight| {
-                c_cycles.inc();
-                if tyolo_count(&ty, ty_precision, &lf.frame, target, &mut scratch)
-                    >= number_of_objects
-                {
-                    Some((t0, lf))
-                } else {
-                    lat.record(elapsed_us(t0));
-                    None
-                }
-            }
-        },
-    );
-
-    // Reference stage (GPU-1 in the paper).
-    let lat = lat_e2e.clone();
-    let lat_r = lat_ref.clone();
-    let h_ref = spawn_filter_stage_instrumented(
-        "reference",
-        q_ref,
-        q_out.clone(),
-        StageTelemetry::register(&tel, "stream0.reference"),
-        move |(t0, lf): InFlight| {
-            let out = SurvivingFrame {
-                seq: lf.frame.seq,
-                pts_ms: lf.frame.pts_ms,
-                reference_count: reference.count(&lf.truth, target),
-            };
-            let us = elapsed_us(t0);
-            lat.record(us);
-            lat_r.record(us);
-            Some(out)
-        },
-    );
-
-    // Prefetch thread feeds the pipeline.
-    let q_in = q_sdd.clone();
-    let c_in = tel.counter("pipeline.frames_in");
-    let feeder = std::thread::spawn(move || {
-        for lf in clip {
-            if q_in.push((Instant::now(), lf)).is_err() {
-                break;
-            }
-            c_in.inc();
-        }
-        q_in.close();
-    });
-
-    let mut survivors = Vec::new();
-    while let Some(s) = q_out.pop() {
-        survivors.push(s);
-    }
-    feeder.join().expect("feeder thread");
-    // An un-faulted, un-supervised pipeline never injects panics, so a
-    // stage failure here is a genuine bug worth surfacing loudly.
-    let c_sdd = h_sdd.join().expect("sdd stage");
-    let c_snm = h_snm.join().expect("snm stage");
-    let c_tyolo = h_tyolo.join().expect("tyolo stage");
-    let c_ref = h_ref.join().expect("reference stage");
-
-    let wall = start.elapsed().as_secs_f64();
-    // engine-private series carry the `rt.` prefix and are excluded from
-    // DES↔RT name conformance
-    tel.counter("rt.wall_time_us").add((wall * 1e6) as u64);
-    RtResult {
-        total_frames: total,
-        stage_processed: [c_sdd, c_snm, c_tyolo, c_ref],
-        survivors,
-        wall_time_s: wall,
-        throughput_fps: total as f64 / wall.max(1e-9),
-        telemetry: tel.snapshot(),
-    }
-}
-
-/// [`run_pipeline_rt`] with online drift recalibration (DESIGN.md §15).
-///
-/// The SDD stage feeds every frame's distance to a [`DriftDetector`]; when
-/// a regime shift is declared (day → night illumination, §3.2.1's "changing
-/// light color and intensity" taken to its breaking point), the stage
-/// rebuilds its background reference from the lowest-distance half of the
-/// recent frame window — the best available estimate of content-free frames
-/// in the new regime — and raises a flag. The SNM stage answers the flag by
-/// re-deriving `t_pre` from its recent probability distribution so the
-/// pre-shift pass rate is preserved; the threshold only ever moves *down*,
-/// and never below the model's `c_low`, so recall cannot be lost to
-/// threshold motion.
-///
-/// A run in which the detector never fires is **bit-identical** to
-/// [`run_pipeline_rt`]: the added bookkeeping observes decisions but alters
-/// none until a detection lands (`tests` pin this). `drift.*` counters
-/// record detections, SDD rebuilds, and SNM retunes.
-pub fn run_pipeline_rt_recal(
-    clip: Vec<LabeledFrame>,
-    bank: FilterBank,
-    cfg: &FfsVaConfig,
-    drift: DriftConfig,
-) -> RtResult {
-    let start = Instant::now();
-    let total = clip.len() as u64;
-
-    let FilterBank {
-        target,
-        sdd,
-        mut snm,
-        tyolo,
-        reference,
-        ..
-    } = bank;
-    let c_low = snm.c_low;
-    let t_pre = snm.t_pre(cfg.filter_degree);
-    let number_of_objects = cfg.number_of_objects;
-    let tyolo = Arc::new(tyolo);
-
-    let tel = Telemetry::new();
-    let lat_e2e = tel.histogram("latency.e2e_us", LATENCY_BOUNDS_US);
-    let lat_ref = tel.histogram("latency.ref_us", LATENCY_BOUNDS_US);
-    // drift.* series exist (at zero) even when nothing fires, so ablation
-    // tooling can always read them
-    let c_detections = tel.counter("drift.detections");
-    let c_rebuilds = tel.counter("drift.sdd_rebuilds");
-    let c_retunes = tel.counter("drift.snm_retunes");
-    // set by the SDD stage on detection, consumed by the SNM stage
-    let drift_flag = Arc::new(AtomicBool::new(false));
-
-    let q_sdd: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.sdd_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.sdd"),
-    );
-    let q_snm: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.snm_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.snm"),
-    );
-    let q_tyolo: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.tyolo_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.tyolo"),
-    );
-    let q_ref: FeedbackQueue<InFlight> = FeedbackQueue::with_telemetry(
-        cfg.reference_queue_depth.max(1),
-        QueueTelemetry::register(&tel, "queue.reference"),
-    );
-    let q_out: FeedbackQueue<SurvivingFrame> = FeedbackQueue::new(1024);
-
-    // SDD stage: distance, drift watch, reference rebuild on detection.
-    let delta = sdd.delta_diff;
-    let lat = lat_e2e.clone();
-    let h_sdd = spawn_filter_stage_instrumented(
-        "sdd",
-        q_sdd.clone(),
-        q_snm.clone(),
-        StageTelemetry::register(&tel, "stream0.sdd"),
-        {
-            let mut scratch = Scratch::new();
-            let mut sdd = sdd;
-            let mut det = DriftDetector::new(drift);
-            let window = drift.window.max(1);
-            let mut recent: VecDeque<(f32, Vec<f32>)> = VecDeque::with_capacity(window);
-            let flag = Arc::clone(&drift_flag);
-            let detections = c_detections.clone();
-            let rebuilds = c_rebuilds.clone();
-            move |(t0, lf): InFlight| {
-                let d = sdd.distance_with(&lf.frame, &mut scratch);
-                if recent.len() == window {
-                    recent.pop_front();
-                }
-                recent.push_back((d, scratch.resized.clone()));
-                if det.observe(f64::from(d)) {
-                    detections.inc();
-                    // Re-lock the reference onto the shifted background: the
-                    // lowest-distance half of the recent window is the best
-                    // estimate of content-free frames in the new regime.
-                    let mut by_distance: Vec<usize> = (0..recent.len()).collect();
-                    by_distance
-                        .sort_by(|&a, &b| recent[a].0.total_cmp(&recent[b].0).then(a.cmp(&b)));
-                    let take = (by_distance.len() / 2).max(1);
-                    let smalls: Vec<&[f32]> = by_distance[..take]
-                        .iter()
-                        .map(|&i| recent[i].1.as_slice())
-                        .collect();
-                    sdd.rebuild_reference_from_smalls(&smalls);
-                    rebuilds.inc();
-                    flag.store(true, Ordering::Relaxed);
-                }
-                // δ_diff is kept: the rebuild re-centers distances instead
-                if d > delta {
-                    Some((t0, lf))
-                } else {
-                    lat.record(elapsed_us(t0));
-                    None
-                }
-            }
-        },
-    );
-
-    // SNM stage: batch inference plus flag-driven threshold re-derivation.
-    let policy = cfg.batch_policy;
-    let precision = cfg.snm_precision;
-    let c_batches = tel.counter("snm.batches");
-    let lat = lat_e2e.clone();
-    let h_snm = spawn_batch_stage_instrumented(
-        "snm",
-        q_snm,
-        q_tyolo.clone(),
-        policy,
-        StageTelemetry::register(&tel, "stream0.snm"),
-        {
-            let mut scratch = Scratch::new();
-            let flag = Arc::clone(&drift_flag);
-            let retunes = c_retunes.clone();
-            let window = drift.window.max(1);
-            let mut t_pre = t_pre;
-            let mut recent: VecDeque<f32> = VecDeque::with_capacity(window);
-            let mut seen = 0u64;
-            let mut passed = 0u64;
-            move |batch: Vec<InFlight>| {
-                c_batches.inc();
-                let frames: Vec<&Frame> = batch.iter().map(|(_, lf)| &lf.frame).collect();
-                let probs = snm_predict(&mut snm, precision, &frames, &mut scratch);
-                if flag.swap(false, Ordering::Relaxed) && seen > 0 && !recent.is_empty() {
-                    // Preserve the pre-shift pass rate: put the threshold at
-                    // the matching quantile of the recent probability
-                    // distribution, lowering-only and floored at c_low so
-                    // recall cannot regress from threshold motion.
-                    let mut sorted: Vec<f32> = recent.iter().copied().collect();
-                    sorted.sort_by(f32::total_cmp);
-                    let pass_rate = (passed as f64 / seen as f64).clamp(0.0, 1.0);
-                    let idx = ((sorted.len() as f64) * (1.0 - pass_rate)) as usize;
-                    let q = sorted[idx.min(sorted.len() - 1)];
-                    let lowered = q.clamp(c_low, t_pre);
-                    if lowered < t_pre {
-                        t_pre = lowered;
-                        retunes.inc();
-                    }
-                }
-                batch
-                    .into_iter()
-                    .zip(probs)
-                    .filter_map(|((t0, lf), p)| {
-                        seen += 1;
-                        if recent.len() == window {
-                            recent.pop_front();
-                        }
-                        recent.push_back(p);
-                        if p >= t_pre {
-                            passed += 1;
-                            Some((t0, lf))
-                        } else {
-                            lat.record(elapsed_us(t0));
-                            None
-                        }
-                    })
-                    .collect()
-            }
-        },
-    );
-
-    // T-YOLO and reference stages are untouched by recalibration.
-    let ty = Arc::clone(&tyolo);
-    let c_cycles = tel.counter("tyolo.cycles");
-    let lat = lat_e2e.clone();
-    let ty_precision = cfg.tyolo_precision;
-    let h_tyolo = spawn_filter_stage_instrumented(
-        "tyolo",
-        q_tyolo,
-        q_ref.clone(),
-        StageTelemetry::register(&tel, "stream0.tyolo"),
-        {
-            let mut scratch = Scratch::new();
-            move |(t0, lf): InFlight| {
-                c_cycles.inc();
-                if tyolo_count(&ty, ty_precision, &lf.frame, target, &mut scratch)
-                    >= number_of_objects
-                {
-                    Some((t0, lf))
-                } else {
-                    lat.record(elapsed_us(t0));
-                    None
-                }
-            }
-        },
-    );
-
-    let lat = lat_e2e.clone();
-    let lat_r = lat_ref.clone();
-    let h_ref = spawn_filter_stage_instrumented(
-        "reference",
-        q_ref,
-        q_out.clone(),
-        StageTelemetry::register(&tel, "stream0.reference"),
-        move |(t0, lf): InFlight| {
-            let out = SurvivingFrame {
-                seq: lf.frame.seq,
-                pts_ms: lf.frame.pts_ms,
-                reference_count: reference.count(&lf.truth, target),
-            };
-            let us = elapsed_us(t0);
-            lat.record(us);
-            lat_r.record(us);
-            Some(out)
-        },
-    );
-
-    let q_in = q_sdd.clone();
-    let c_in = tel.counter("pipeline.frames_in");
-    let feeder = std::thread::spawn(move || {
-        for lf in clip {
-            if q_in.push((Instant::now(), lf)).is_err() {
-                break;
-            }
-            c_in.inc();
-        }
-        q_in.close();
-    });
-
-    let mut survivors = Vec::new();
-    while let Some(s) = q_out.pop() {
-        survivors.push(s);
-    }
-    feeder.join().expect("feeder thread");
-    let c_sdd = h_sdd.join().expect("sdd stage");
-    let c_snm = h_snm.join().expect("snm stage");
-    let c_tyolo = h_tyolo.join().expect("tyolo stage");
-    let c_ref = h_ref.join().expect("reference stage");
-
-    let wall = start.elapsed().as_secs_f64();
-    tel.counter("rt.wall_time_us").add((wall * 1e6) as u64);
-    RtResult {
-        total_frames: total,
-        stage_processed: [c_sdd, c_snm, c_tyolo, c_ref],
-        survivors,
-        wall_time_s: wall,
-        throughput_fps: total as f64 / wall.max(1e-9),
-        telemetry: tel.snapshot(),
-    }
 }
 
 /// Supervision outcome for one stream of a multi-stream run.
@@ -578,27 +128,8 @@ struct SourceReport {
     /// fully accounted (delivered, dropped, quarantined, or evicted).
     cursor: u64,
     source_lost: bool,
-    delivered: u64,
-    corrupt: u64,
-    evicted: u64,
-    duplicates: u64,
     reconnects: u64,
-}
-
-impl SourceReport {
-    /// The report of a plain (fault-free) feeder that pushed `fed` frames
-    /// starting at absolute position `skip`.
-    fn clean(skip: u64, fed: u64) -> Self {
-        SourceReport {
-            cursor: skip + fed,
-            source_lost: false,
-            delivered: fed,
-            corrupt: 0,
-            evicted: 0,
-            duplicates: 0,
-            reconnects: 0,
-        }
-    }
+    stats: IngestStats,
 }
 
 /// Result of a multi-stream threaded run.
@@ -633,942 +164,1064 @@ impl MultiRtResult {
     }
 }
 
-/// What a per-stream filter stage (SDD/SNM) reports at the end of a run,
-/// whichever execution layout produced it: a threaded supervisor's
-/// [`StageOutcome`] or a sharded pool's [`PoolStreamOutcome`]. Collapsing
-/// both into one shape lets the checkpoint and health accounting stay
-/// layout-agnostic — which is itself part of the bit-identity argument.
-struct StageReport {
-    processed: u64,
-    restarts: u32,
-    gave_up: bool,
+/// Where one stream's SDD stage logs the seq of each frame it declared a
+/// regime shift at, and its SNM stage picks them up.
+type ShiftLog = Arc<Mutex<VecDeque<u64>>>;
+
+/// SDD-side drift watch (DESIGN.md §15): feeds every distance to a
+/// [`DriftDetector`] and keeps the recent `(distance, resized image)` window
+/// the reference is rebuilt from when a regime shift is declared (day → night
+/// illumination, §3.2.1's "changing light color and intensity" taken to its
+/// breaking point).
+struct DriftWatch {
+    det: DriftDetector,
+    window: usize,
+    recent: VecDeque<(f32, Vec<f32>)>,
+    /// Seq of every frame a shift was declared at, for the stream's SNM stage.
+    shifts: ShiftLog,
+    detections: Counter,
+    rebuilds: Counter,
 }
 
-impl From<StageOutcome> for StageReport {
-    fn from(o: StageOutcome) -> Self {
-        StageReport {
-            processed: o.processed(),
-            restarts: o.restarts(),
-            gave_up: o.gave_up(),
+impl DriftWatch {
+    fn new(cfg: DriftConfig, tel: &Telemetry, shifts: ShiftLog) -> Self {
+        DriftWatch {
+            det: DriftDetector::new(cfg),
+            window: cfg.window,
+            recent: VecDeque::with_capacity(cfg.window),
+            shifts,
+            detections: tel.counter("drift.detections"),
+            rebuilds: tel.counter("drift.sdd_rebuilds"),
+        }
+    }
+
+    fn observe(&mut self, seq: u64, d: f32, resized: &[f32], sdd: &mut SddFilter) {
+        // Recycle the evicted entry's buffer: once the window is full a
+        // drift-enabled stream allocates nothing per frame.
+        let mut slot = Vec::new();
+        if self.recent.len() == self.window {
+            if let Some((_, evicted)) = self.recent.pop_front() {
+                slot = evicted;
+            }
+        }
+        slot.clear();
+        slot.extend_from_slice(resized);
+        self.recent.push_back((d, slot));
+        if !self.det.observe(f64::from(d)) {
+            return;
+        }
+        self.detections.inc();
+        // Re-lock the reference onto the shifted background: the
+        // lowest-distance half of the recent window is the best estimate of
+        // content-free frames in the new regime.
+        let mut by_distance: Vec<usize> = (0..self.recent.len()).collect();
+        by_distance.sort_by(|&a, &b| {
+            let (da, db) = (self.recent[a].0, self.recent[b].0);
+            da.total_cmp(&db).then(a.cmp(&b))
+        });
+        let take = (by_distance.len() / 2).max(1);
+        let smalls: Vec<&[f32]> = by_distance[..take]
+            .iter()
+            .map(|&i| self.recent[i].1.as_slice())
+            .collect();
+        sdd.rebuild_reference_from_smalls(&smalls);
+        self.rebuilds.inc();
+        lock(&self.shifts).push_back(seq);
+    }
+}
+
+/// One stream's SDD model and, under [`RtEngine::with_drift`], its drift
+/// watch. Shared by every incarnation of the stage in either layout, so a
+/// rebuilt reference survives supervisor restarts and is what the final
+/// checkpoint records.
+struct SddState {
+    sdd: SddFilter,
+    watch: Option<DriftWatch>,
+}
+
+impl SddState {
+    fn passes(&mut self, frame: &Frame, scratch: &mut Scratch) -> bool {
+        let d = self.sdd.distance_with(frame, scratch);
+        if let Some(watch) = &mut self.watch {
+            watch.observe(frame.seq, d, &scratch.resized, &mut self.sdd);
+        }
+        // δ_diff is kept across a rebuild: the new reference re-centers
+        // distances instead
+        d > self.sdd.delta_diff
+    }
+}
+
+/// SNM-side recalibration bookkeeping: the recent probability window and the
+/// running pass rate `t_pre` is re-derived from when the SDD stage reports a
+/// regime shift.
+struct SnmRecal {
+    window: usize,
+    recent: VecDeque<f32>,
+    seen: u64,
+    passed: u64,
+    shifts: ShiftLog,
+    retunes: Counter,
+}
+
+impl SnmRecal {
+    fn new(cfg: DriftConfig, tel: &Telemetry, shifts: ShiftLog) -> Self {
+        SnmRecal {
+            window: cfg.window,
+            recent: VecDeque::with_capacity(cfg.window),
+            seen: 0,
+            passed: 0,
+            shifts,
+            retunes: tel.counter("drift.snm_retunes"),
+        }
+    }
+
+    /// The threshold frame `seq` is judged against: `t_pre`, re-derived once
+    /// for every shift the SDD declared at an earlier frame. Keyed on the
+    /// frame, not on when the SNM stage happens to run, so the survivor set
+    /// is independent of batch shape and layout. The re-derived threshold
+    /// preserves the pre-shift pass rate — the matching quantile of the
+    /// recent probability distribution — lowering-only and floored at
+    /// `c_low`, so recall cannot regress from threshold motion.
+    fn threshold_for(&self, seq: u64, mut t_pre: f32, c_low: f32) -> f32 {
+        let mut shifts = lock(&self.shifts);
+        while shifts.front().is_some_and(|&at| seq > at) {
+            shifts.pop_front();
+            if self.recent.is_empty() {
+                continue;
+            }
+            let mut sorted: Vec<f32> = self.recent.iter().copied().collect();
+            sorted.sort_by(f32::total_cmp);
+            let pass_rate = (self.passed as f64 / self.seen as f64).clamp(0.0, 1.0);
+            let idx = ((sorted.len() as f64) * (1.0 - pass_rate)) as usize;
+            let lowered = sorted[idx.min(sorted.len() - 1)].clamp(c_low, t_pre);
+            if lowered < t_pre {
+                t_pre = lowered;
+                self.retunes.inc();
+            }
+        }
+        t_pre
+    }
+
+    fn record(&mut self, p: f32, pass: bool) {
+        self.seen += 1;
+        self.passed += u64::from(pass);
+        if self.recent.len() == self.window {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(p);
+    }
+}
+
+/// One stream's SNM model, its running threshold and, under
+/// [`RtEngine::with_drift`], the recalibration window — shared across
+/// incarnations and layouts like [`SddState`].
+struct SnmState {
+    snm: SnmModel,
+    t_pre: f32,
+    recal: Option<SnmRecal>,
+}
+
+impl SnmState {
+    /// One verdict per frame of the batch, in batch order.
+    fn passes(
+        &mut self,
+        frames: &[&Frame],
+        precision: Precision,
+        scratch: &mut Scratch,
+    ) -> Vec<bool> {
+        let probs = snm_predict(&mut self.snm, precision, frames, scratch);
+        probs
+            .into_iter()
+            .zip(frames)
+            .map(|(p, frame)| {
+                if let Some(recal) = &self.recal {
+                    self.t_pre = recal.threshold_for(frame.seq, self.t_pre, self.snm.c_low);
+                }
+                let pass = p >= self.t_pre;
+                if let Some(recal) = &mut self.recal {
+                    recal.record(p, pass);
+                }
+                pass
+            })
+            .collect()
+    }
+}
+
+/// A per-stream stage computation: the quantum's frames in (exactly one for
+/// a filter stage, a formed batch for a batch stage), the survivors out.
+/// The scratch belongs to whoever runs the body — a stage thread's
+/// incarnation or a pool worker — which cannot affect results: the models'
+/// outputs are scratch-shape-independent.
+type StageBody = Arc<dyn Fn(Vec<InFlight>, &mut Scratch) -> Vec<InFlight> + Send + Sync>;
+
+/// One stream's supervised SDD or SNM stage, described once and run by
+/// either layout: the same queues, accounting, fault context and body.
+struct StreamStage {
+    /// `"sdd"` / `"snm"`: with the stream id, the stage name injected-panic
+    /// payloads render (`stage \`sdd-3\` at frame seq N`) in both layouts.
+    name: &'static str,
+    stream: usize,
+    input: FeedbackQueue<InFlight>,
+    /// `outputs[0]` is the primary downstream, closed on clean exit or
+    /// give-up; alternate routes are owned elsewhere.
+    outputs: Vec<FeedbackQueue<InFlight>>,
+    route: Arc<dyn Fn(&InFlight) -> usize + Send + Sync>,
+    /// `Some` for the batch-forming SNM, `None` for the 1-in/≤1-out SDD.
+    batch: Option<BatchPolicy>,
+    tel: StageTelemetry,
+    sup_tel: SupervisorTelemetry,
+    inj: FaultInjector,
+    lat: Histogram,
+    body: StageBody,
+}
+
+impl StreamStage {
+    /// Fault state plus the disposal hooks: a frame the stage cannot
+    /// forward still gets its end-to-end latency sample.
+    fn fault_ctx(&self) -> StageFaultCtx<InFlight, InFlight> {
+        let (lat_q, lat_l) = (self.lat.clone(), self.lat.clone());
+        StageFaultCtx {
+            inj: self.inj.clone(),
+            seq_in: Box::new(|(_, lf)| lf.frame.seq),
+            seq_out: Box::new(|(_, lf)| lf.frame.seq),
+            on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
+            on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
+        }
+    }
+
+    /// Pooled layout: the stage as a slot of a sharded worker pool.
+    fn into_slot(self) -> PoolSlot<InFlight, InFlight, Scratch> {
+        let ctx = self.fault_ctx();
+        let (route, body) = (self.route, self.body);
+        PoolSlot {
+            stream: self.stream,
+            input: self.input,
+            outputs: self.outputs,
+            route: Box::new(move |out| route(out)),
+            batch: self.batch,
+            tel: self.tel,
+            sup_tel: self.sup_tel,
+            ctx,
+            work: Box::new(move |items, scratch| body(items, scratch)),
+        }
+    }
+
+    /// Threaded layout: the stage as its own thread under a supervisor that
+    /// re-attaches a fresh incarnation to the same queues and state.
+    fn supervise(self, policy: SupervisorPolicy) -> SupervisedStage {
+        let name = format!("{}-{}", self.name, self.stream);
+        let sup_tel = self.sup_tel.clone();
+        let give_up = {
+            let (q_in, q_down) = (self.input.clone(), self.outputs[0].clone());
+            let (tel, lat) = (self.tel.clone(), self.lat.clone());
+            move |_: &StageFailure| {
+                // Quarantine-drain everything still arriving (the feeder
+                // closes the queue when the clip ends), then release
+                // downstream so the rest of the cascade can finish.
+                while let Some((t0, _)) = q_in.pop() {
+                    tel.frames_quarantined.inc();
+                    lat.record(elapsed_us(t0));
+                }
+                q_down.close();
+            }
+        };
+        let stage_name = name.clone();
+        let factory = move || {
+            let ctx = self.fault_ctx();
+            let body = Arc::clone(&self.body);
+            let mut scratch = Scratch::new();
+            match self.batch {
+                None => spawn_filter_stage_faulted(
+                    stage_name.clone(),
+                    self.input.clone(),
+                    self.outputs[0].clone(),
+                    self.tel.clone(),
+                    ctx,
+                    move |item| body(vec![item], &mut scratch).pop(),
+                ),
+                Some(batch_policy) => {
+                    let route = Arc::clone(&self.route);
+                    spawn_batch_stage_faulted(
+                        stage_name.clone(),
+                        self.input.clone(),
+                        self.outputs.clone(),
+                        move |out| route(out),
+                        batch_policy,
+                        self.tel.clone(),
+                        ctx,
+                        move |batch| body(batch, &mut scratch),
+                    )
+                }
+            }
+        };
+        supervise(name, policy, sup_tel, factory, give_up)
+    }
+}
+
+/// Start every stream's SDD (or SNM) stage in one layout — a sharded pool of
+/// `pool_workers` threads hosting each stage as a slot, or with `None` a
+/// supervised thread per stream — and return the join, which yields the
+/// per-stream outcomes in stream order either way.
+fn start_stages(
+    name: &str,
+    pool_workers: Option<usize>,
+    policy: SupervisorPolicy,
+    stages: Vec<StreamStage>,
+    tel: &Telemetry,
+) -> Box<dyn FnOnce() -> Vec<StageOutcome>> {
+    match pool_workers {
+        Some(workers) => {
+            let workers = workers.max(1);
+            let pool = spawn_stage_pool(
+                name,
+                PoolPolicy {
+                    workers,
+                    restart_budget: policy.restart_budget,
+                    backoff: policy.backoff,
+                },
+                stages.into_iter().map(StreamStage::into_slot).collect(),
+                (0..workers).map(|_| Scratch::new()).collect(),
+                PoolTelemetry::register(tel, &format!("rt.pool.{}", name)),
+            );
+            Box::new(move || pool.join())
+        }
+        None => {
+            let sups: Vec<SupervisedStage> = stages
+                .into_iter()
+                .map(|stage| stage.supervise(policy))
+                .collect();
+            Box::new(move || sups.into_iter().map(SupervisedStage::join).collect())
         }
     }
 }
 
-impl From<PoolStreamOutcome> for StageReport {
-    fn from(o: PoolStreamOutcome) -> Self {
-        StageReport {
-            processed: o.processed,
-            restarts: o.restarts,
-            gave_up: o.gave_up,
-        }
-    }
-}
-
-/// Run several streams through real threaded pipelines that share **one**
-/// T-YOLO thread, exactly as §3.2.3 prescribes: per-stream SDD and SNM
-/// threads feed per-stream T-YOLO queues; a single detector thread visits
-/// the queues round-robin, takes at most `num_tyolo` frames from each
-/// (skipping empty queues), and forwards survivors to per-stream reference
-/// stages.
+/// The threaded real-model engine: several streams (one is `n = 1`) run
+/// through real pipelines that share **one** T-YOLO thread, exactly as
+/// §3.2.3 prescribes — per-stream SDD and SNM stages feed per-stream T-YOLO
+/// queues; a single detector thread visits the queues round-robin, takes at
+/// most `num_tyolo` frames from each (skipping empty queues), and forwards
+/// survivors to per-stream reference stages. Each bank is consumed: its
+/// models move into the stream's stages, exactly one owner per filter.
 ///
 /// When `cfg.pool_workers_sdd`/`cfg.pool_workers_snm` are non-zero the
 /// per-stream SDD/SNM threads are replaced by two sharded worker pools
 /// (`ffsva_sched::pool`): N workers per stage serve every stream's slot,
 /// per-stream FIFO preserved by exclusive slot ownership, supervision
 /// (restart budget, backoff, give-up quarantine) replicated per stream.
-/// Survivor sets, frame counters, and checkpoints are bit-identical across
-/// layouts — `tests/pool_conformance.rs` proves it.
+/// The layouts differ in scheduling only — both run the same stage bodies —
+/// and survivor sets, frame counters, and checkpoints are bit-identical
+/// across them (`tests/pool_conformance.rs`).
 ///
 /// Every per-stream stage runs under supervision (restart budget
 /// `cfg.restart_budget`, exponential backoff from `cfg.restart_backoff_ms`),
 /// and the shared T-YOLO is watched for stalls (`cfg.watchdog_deadline_ms`,
-/// degraded per `cfg.degrade_policy`). This entry point injects no faults —
-/// it delegates to [`run_multi_pipeline_rt_faulted`] with an empty plan, so
-/// faulted and unfaulted runs share one code path.
+/// degraded per `cfg.degrade_policy`). The builder methods are the DES
+/// [`Engine`](crate::sim::Engine)'s, plus [`RtEngine::with_drift`].
+pub struct RtEngine {
+    cfg: FfsVaConfig,
+    streams: Vec<(Vec<LabeledFrame>, FilterBank)>,
+    plan: FaultPlan,
+    src_plan: SourceFaultPlan,
+    ckpt: Option<CheckpointSpec>,
+    drift: Option<DriftConfig>,
+}
+
+/// Run `streams` through an [`RtEngine`] with nothing attached: no faults,
+/// no checkpoints, no drift recalibration.
 pub fn run_multi_pipeline_rt(
     streams: Vec<(Vec<LabeledFrame>, FilterBank)>,
     cfg: &FfsVaConfig,
 ) -> MultiRtResult {
-    run_multi_pipeline_rt_faulted(streams, cfg, &FaultPlan::default())
+    RtEngine::new(*cfg, streams).run()
 }
 
-/// [`run_multi_pipeline_rt`] with a deterministic [`FaultPlan`].
-///
-/// A stream whose SDD or SNM exhausts the restart budget is quarantined:
-/// its remaining frames are drained and accounted `frames_quarantined`, its
-/// downstream queue is closed, and every other stream — plus the shared
-/// T-YOLO and reference stages — keeps running untouched.
-pub fn run_multi_pipeline_rt_faulted(
-    streams: Vec<(Vec<LabeledFrame>, FilterBank)>,
-    cfg: &FfsVaConfig,
-    plan: &FaultPlan,
-) -> MultiRtResult {
-    run_multi_pipeline_rt_robust(streams, cfg, plan, &SourceFaultPlan::default(), None)
-}
-
-/// [`run_multi_pipeline_rt_faulted`] plus the unreliable-source ingest layer
-/// and crash-safe checkpointing.
-///
-/// When `src_plan` is non-empty, every stream's feeder becomes an ingest
-/// worker: it pulls from an [`UnreliableSource`] wrapping the clip, validates
-/// each arrival's checksum (corrupt frames are quarantined, never the
-/// stream), restores order through a bounded [`IngestCore`] reorder gate
-/// (late frames are evicted and accounted), and rides out disconnects with
-/// capped exponential backoff ([`plan_reconnect`]). A stream whose retry
-/// budget is exhausted degrades to `source_lost` — its unread tail is
-/// dropped and accounted, and every sibling stream keeps running untouched.
-///
-/// When `ckpt` is given, per-stream [`StreamCheckpoint`]s are written
-/// atomically after the pipeline drains (the RT engine checkpoints at
-/// end-of-run; the DES also checkpoints periodically at quiescent
-/// boundaries), and `spec.resume` re-seeds counters, survivors, and the
-/// source cursor so a killed-and-resumed run reports telemetry identical to
-/// an uninterrupted one.
-pub fn run_multi_pipeline_rt_robust(
-    streams: Vec<(Vec<LabeledFrame>, FilterBank)>,
-    cfg: &FfsVaConfig,
-    plan: &FaultPlan,
-    src_plan: &SourceFaultPlan,
-    ckpt: Option<&CheckpointSpec>,
-) -> MultiRtResult {
-    assert!(!streams.is_empty(), "need at least one stream");
-    plan.validate().expect("invalid fault plan");
-    src_plan.validate().expect("invalid source fault plan");
-    let start = Instant::now();
-    let n_streams = streams.len();
-    let num_tyolo = cfg.num_tyolo.max(1);
-    // any-motion semantics for 0, matching `FrameTrace::tyolo_pass`
-    let number_of_objects = cfg.number_of_objects;
-    let sup_policy = SupervisorPolicy {
-        restart_budget: cfg.restart_budget,
-        backoff: Duration::from_millis(cfg.restart_backoff_ms),
-    };
-
-    let tel = Telemetry::new();
-    let lat_e2e = tel.histogram("latency.e2e_us", LATENCY_BOUNDS_US);
-    let lat_ref = tel.histogram("latency.ref_us", LATENCY_BOUNDS_US);
-    let c_in = tel.counter("pipeline.frames_in");
-    let c_batches = tel.counter("snm.batches");
-    // Every stream's stage-N queue feeds one shared telemetry bundle, so
-    // the series aggregate across streams under a single name — the same
-    // scopes the DES engine registers.
-    let qt_sdd = QueueTelemetry::register(&tel, "queue.sdd");
-    let qt_snm = QueueTelemetry::register(&tel, "queue.snm");
-    let qt_tyolo = QueueTelemetry::register(&tel, "queue.tyolo");
-    let qt_ref = QueueTelemetry::register(&tel, "queue.reference");
-    // engine-private (`rt.`-prefixed) series, excluded from DES↔RT name
-    // conformance
-    let c_trips = tel.counter("rt.watchdog.trips");
-    let c_shed = tel.counter("rt.watchdog.shed");
-
-    let faulty = !src_plan.is_empty();
-    // Resume: load per-stream checkpoints and re-seed their counters into
-    // the live cells, so the final telemetry reads as one uninterrupted run.
-    let bases: Vec<StreamCheckpoint> = match ckpt {
-        Some(spec) if spec.resume => load_all(&spec.dir, n_streams).expect("load checkpoints"),
-        _ => (0..n_streams).map(StreamCheckpoint::fresh).collect(),
-    };
-    for base in &bases {
-        for (name, v) in &base.counters {
-            tel.counter(name).add(*v);
+impl RtEngine {
+    pub fn new(cfg: FfsVaConfig, streams: Vec<(Vec<LabeledFrame>, FilterBank)>) -> Self {
+        assert!(!streams.is_empty(), "need at least one stream");
+        RtEngine {
+            cfg,
+            streams,
+            plan: FaultPlan::default(),
+            src_plan: SourceFaultPlan::default(),
+            ckpt: None,
+            drift: None,
         }
     }
-    // Ingest-fault series exist only when a source plan is active, keeping
-    // an unfaulted run's telemetry name-identical to pre-ingest builds.
-    let src_counters = if faulty {
-        Some((
-            tel.counter("src.reconnects"),
-            tel.counter("src.corrupt"),
-            tel.counter("src.reorder_evictions"),
-            tel.counter("src.duplicates"),
-        ))
-    } else {
-        None
-    };
-    let ckpt_tel = ckpt.map(|_| {
-        (
-            tel.counter("checkpoint.writes"),
-            tel.histogram("checkpoint.age_ms", LATENCY_BOUNDS_US),
-        )
-    });
 
-    // Flipped by the watchdog under `DegradePolicy::Bypass`: SNM-positive
-    // frames then route straight to the reference queue.
-    let bypass = Arc::new(AtomicBool::new(false));
+    /// Attach a deterministic stage-fault plan. A stream whose SDD or SNM
+    /// exhausts the restart budget is quarantined: its remaining frames are
+    /// drained and accounted `frames_quarantined`, its downstream queue is
+    /// closed, and every other stream — plus the shared T-YOLO and reference
+    /// stages — keeps running untouched.
+    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Self {
+        plan.validate().expect("invalid fault plan");
+        self.plan = plan.clone();
+        self
+    }
 
-    let pooled = cfg.pooled();
-    let mut total = 0u64;
-    let mut sdd_sups = Vec::new();
-    let mut snm_sups = Vec::new();
-    // Pooled layout: per-stream slots accumulated here, then handed to two
-    // sharded worker pools after the per-stream wiring loop.
-    let mut sdd_slots: Vec<PoolSlot<InFlight, InFlight, Scratch>> = Vec::new();
-    let mut snm_slots: Vec<PoolSlot<InFlight, InFlight, Scratch>> = Vec::new();
-    let mut feeders: Vec<std::thread::JoinHandle<SourceReport>> = Vec::new();
-    let mut ckpt_states: Vec<Option<(StreamThresholds, SddFilter, (f32, f32))>> = Vec::new();
-    let mut tyolo_qs: Vec<FeedbackQueue<InFlight>> = Vec::new();
-    let mut ref_qs: Vec<FeedbackQueue<InFlight>> = Vec::new();
-    let mut out_qs: Vec<FeedbackQueue<SurvivingFrame>> = Vec::new();
-    let mut ref_handles = Vec::new();
-    let mut targets = Vec::new();
-    let mut tyolo_tels = Vec::new();
-    let mut tyolo_injs = Vec::new();
-    let mut shared_tyolo: Option<Arc<TinyYolo>> = None;
+    /// Attach a deterministic source-fault plan. When it is non-empty, every
+    /// stream's feeder becomes an ingest worker: it pulls from an
+    /// [`UnreliableSource`] wrapping the clip, validates each arrival's
+    /// checksum (corrupt frames are quarantined, never the stream), restores
+    /// order through a bounded [`IngestCore`] reorder gate (late frames are
+    /// evicted and accounted), and rides out disconnects with capped
+    /// exponential backoff ([`plan_reconnect`]). A stream whose retry budget
+    /// is exhausted degrades to `source_lost` — its unread tail is dropped
+    /// and accounted, and every sibling stream keeps running untouched.
+    pub fn with_source_plan(mut self, plan: &SourceFaultPlan) -> Self {
+        plan.validate().expect("invalid source fault plan");
+        self.src_plan = plan.clone();
+        self
+    }
 
-    for (s, (clip, bank)) in streams.into_iter().enumerate() {
-        // A resumed stream restarts at its checkpoint cursor; a stream whose
-        // source was already lost has nothing left to read.
-        let skip = if bases[s].source_lost {
-            clip.len()
-        } else {
-            (bases[s].cursor as usize).min(clip.len())
+    /// Attach crash-safe checkpointing: per-stream [`StreamCheckpoint`]s are
+    /// written atomically after the pipeline drains (the RT engine
+    /// checkpoints at end-of-run; the DES also checkpoints periodically at
+    /// quiescent boundaries), carrying the thresholds and SDD reference the
+    /// stages ended the run with. `spec.resume` re-seeds counters, survivors,
+    /// and the source cursor so a killed-and-resumed run reports telemetry
+    /// identical to an uninterrupted one.
+    pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
+        self.ckpt = Some(spec);
+        self
+    }
+
+    /// Attach online drift recalibration (DESIGN.md §15) to every stream.
+    /// The SDD stage feeds each frame's distance to a [`DriftDetector`];
+    /// when a regime shift is declared it rebuilds its background reference
+    /// from the lowest-distance half of the recent frame window and logs the
+    /// frame. The stream's SNM stage judges every later frame against a
+    /// `t_pre` re-derived from its recent probability distribution, so the
+    /// pre-shift pass rate is preserved; the threshold only ever moves
+    /// *down*, and never below the model's `c_low`. `drift.*` counters
+    /// record detections, SDD rebuilds and SNM retunes across streams.
+    ///
+    /// A stream on which the detector never fires is **bit-identical** to
+    /// the same stream without drift: the bookkeeping observes decisions but
+    /// alters none until a detection lands (pinned by test).
+    pub fn with_drift(mut self, drift: DriftConfig) -> Self {
+        self.drift = Some(drift);
+        self
+    }
+
+    pub fn run(self) -> MultiRtResult {
+        let RtEngine {
+            cfg,
+            streams,
+            plan,
+            src_plan,
+            ckpt,
+            drift,
+        } = self;
+        let ckpt = ckpt.as_ref();
+        let start = Instant::now();
+        let n_streams = streams.len();
+        let num_tyolo = cfg.num_tyolo.max(1);
+        // any-motion semantics for 0, matching `FrameTrace::tyolo_pass`
+        let number_of_objects = cfg.number_of_objects;
+        let sup_policy = SupervisorPolicy {
+            restart_budget: cfg.restart_budget,
+            backoff: Duration::from_millis(cfg.restart_backoff_ms),
         };
-        total += (clip.len() - skip) as u64;
-        let FilterBank {
-            target,
-            sdd,
-            snm,
-            tyolo,
-            reference,
-            ..
-        } = bank;
-        targets.push(target);
-        // the first bank donates the globally shared detector
-        if shared_tyolo.is_none() {
-            shared_tyolo = Some(Arc::new(tyolo));
+
+        let tel = Telemetry::new();
+        let lat_e2e = tel.histogram("latency.e2e_us", LATENCY_BOUNDS_US);
+        let lat_ref = tel.histogram("latency.ref_us", LATENCY_BOUNDS_US);
+        let c_in = tel.counter("pipeline.frames_in");
+        let c_batches = tel.counter("snm.batches");
+        // Every stream's stage-N queue feeds one shared telemetry bundle, so
+        // the series aggregate across streams under a single name — the same
+        // scopes the DES engine registers.
+        let qt_sdd = QueueTelemetry::register(&tel, "queue.sdd");
+        let qt_snm = QueueTelemetry::register(&tel, "queue.snm");
+        let qt_tyolo = QueueTelemetry::register(&tel, "queue.tyolo");
+        let qt_ref = QueueTelemetry::register(&tel, "queue.reference");
+        // engine-private (`rt.`-prefixed) series, excluded from DES↔RT name
+        // conformance
+        let c_trips = tel.counter("rt.watchdog.trips");
+        let c_shed = tel.counter("rt.watchdog.shed");
+
+        let faulty = !src_plan.is_empty();
+        // Resume: load per-stream checkpoints and re-seed their counters into
+        // the live cells, so the final telemetry reads as one uninterrupted run.
+        let bases: Vec<StreamCheckpoint> = match ckpt {
+            Some(spec) if spec.resume => load_all(&spec.dir, n_streams).expect("load checkpoints"),
+            _ => (0..n_streams).map(StreamCheckpoint::fresh).collect(),
+        };
+        for base in &bases {
+            for (name, v) in &base.counters {
+                tel.counter(name).add(*v);
+            }
         }
-        let mut snm = snm;
-        let t_pre = snm.t_pre(cfg.filter_degree);
-        // Model state captured for the final checkpoint before the models
-        // move into their stage threads.
-        ckpt_states.push(ckpt.map(|_| {
+        // Ingest-fault series exist only when a source plan is active, keeping
+        // an unfaulted run's telemetry name-identical to pre-ingest builds.
+        let src_counters = faulty.then(|| {
             (
-                StreamThresholds {
-                    delta_diff: sdd.delta_diff,
-                    t_pre,
-                    number_of_objects: cfg.number_of_objects,
-                },
-                sdd.clone(),
-                (snm.c_low, snm.c_high),
+                tel.counter("src.reconnects"),
+                tel.counter("src.corrupt"),
+                tel.counter("src.reorder_evictions"),
+                tel.counter("src.duplicates"),
             )
-        }));
-        // Shared ownership so every restarted incarnation attaches to the
-        // *same* models: SDD inference is `&self`; the SNM is mutated per
-        // batch, so it sits behind a mutex whose poisoning (a panic inside
-        // `predict_batch`) is recovered on the next lock.
-        let sdd = Arc::new(sdd);
-        let snm = Arc::new(Mutex::new(snm));
+        });
+        let ckpt_tel = ckpt.map(|_| {
+            (
+                tel.counter("checkpoint.writes"),
+                tel.histogram("checkpoint.age_ms", LATENCY_BOUNDS_US),
+            )
+        });
 
-        let q_sdd: FeedbackQueue<InFlight> =
-            FeedbackQueue::with_telemetry(cfg.sdd_queue_depth.max(1), qt_sdd.clone());
-        let q_snm: FeedbackQueue<InFlight> =
-            FeedbackQueue::with_telemetry(cfg.snm_queue_depth.max(1), qt_snm.clone());
-        let q_tyolo: FeedbackQueue<InFlight> =
-            FeedbackQueue::with_telemetry(cfg.tyolo_queue_depth.max(1), qt_tyolo.clone());
-        let q_ref: FeedbackQueue<InFlight> =
-            FeedbackQueue::with_telemetry(cfg.reference_queue_depth.max(1), qt_ref.clone());
-        let q_out: FeedbackQueue<SurvivingFrame> = FeedbackQueue::new(4096);
+        // Flipped by the watchdog under `DegradePolicy::Bypass`: SNM-positive
+        // frames then route straight to the reference queue.
+        let bypass = Arc::new(AtomicBool::new(false));
 
-        let sdd_tel = StageTelemetry::register(&tel, &format!("stream{}.sdd", s));
-        let snm_tel = StageTelemetry::register(&tel, &format!("stream{}.snm", s));
-        tyolo_tels.push(StageTelemetry::register(
-            &tel,
-            &format!("stream{}.tyolo", s),
-        ));
-        let ref_tel = StageTelemetry::register(&tel, &format!("stream{}.reference", s));
+        let pooled = cfg.pooled();
+        let mut total = 0u64;
+        let mut sdd_stages = Vec::new();
+        let mut snm_stages = Vec::new();
+        // The per-stream stage state, kept for the final checkpoint.
+        let mut models: Vec<(Arc<Mutex<SddState>>, Arc<Mutex<SnmState>>)> = Vec::new();
+        let mut feeders: Vec<std::thread::JoinHandle<SourceReport>> = Vec::new();
+        let mut tyolo_qs: Vec<FeedbackQueue<InFlight>> = Vec::new();
+        let mut ref_qs: Vec<FeedbackQueue<InFlight>> = Vec::new();
+        let mut collectors = Vec::new();
+        let mut ref_handles = Vec::new();
+        let mut targets = Vec::new();
+        let mut tyolo_tels = Vec::new();
+        let mut tyolo_injs = Vec::new();
+        let mut shared_tyolo: Option<Arc<TinyYolo>> = None;
 
-        let inj_sdd = plan.injector(s, FaultStage::Sdd);
-        let inj_snm = plan.injector(s, FaultStage::Snm);
-        tyolo_injs.push(plan.injector(s, FaultStage::TYolo));
-        let inj_ref = plan.injector(s, FaultStage::Reference);
+        for (s, (clip, bank)) in streams.into_iter().enumerate() {
+            // A resumed stream restarts at its checkpoint cursor; a stream whose
+            // source was already lost has nothing left to read.
+            let skip = if bases[s].source_lost {
+                clip.len()
+            } else {
+                (bases[s].cursor as usize).min(clip.len())
+            };
+            total += (clip.len() - skip) as u64;
+            let FilterBank {
+                target,
+                sdd,
+                snm,
+                tyolo,
+                reference,
+                ..
+            } = bank;
+            targets.push(target);
+            // the first bank donates the globally shared detector
+            if shared_tyolo.is_none() {
+                shared_tyolo = Some(Arc::new(tyolo));
+            }
+            // Shared ownership so every restarted incarnation attaches to the
+            // *same* models, window and running threshold. The `drift.*`
+            // series exist (at zero) whenever recalibration is attached.
+            let shifts = ShiftLog::default();
+            let sdd_state = Arc::new(Mutex::new(SddState {
+                sdd,
+                watch: drift.map(|d| DriftWatch::new(d, &tel, Arc::clone(&shifts))),
+            }));
+            let snm_state = Arc::new(Mutex::new(SnmState {
+                t_pre: snm.t_pre(cfg.filter_degree),
+                snm,
+                recal: drift.map(|d| SnmRecal::new(d, &tel, shifts)),
+            }));
+            models.push((Arc::clone(&sdd_state), Arc::clone(&snm_state)));
 
-        // --- supervised SDD stage (CPU in the paper) ---
-        let sdd_sup_tel =
-            SupervisorTelemetry::register(&tel, &format!("rt.supervisor.stream{}.sdd", s));
-        if pooled {
-            // Slot for the sharded SDD pool. Same fault context, accounting,
-            // and filter body as the threaded factory below — the scratch
-            // moves from per-incarnation to per-worker (handed in by the
-            // pool), which cannot affect results: SDD distances are scratch-
-            // shape-independent.
-            let lat_drop = lat_e2e.clone();
-            let lat_q = lat_e2e.clone();
-            let lat_l = lat_e2e.clone();
-            let sdd = Arc::clone(&sdd);
-            let delta = sdd.delta_diff;
-            sdd_slots.push(PoolSlot {
+            let q_sdd: FeedbackQueue<InFlight> =
+                FeedbackQueue::with_telemetry(cfg.sdd_queue_depth.max(1), qt_sdd.clone());
+            let q_snm: FeedbackQueue<InFlight> =
+                FeedbackQueue::with_telemetry(cfg.snm_queue_depth.max(1), qt_snm.clone());
+            let q_tyolo: FeedbackQueue<InFlight> =
+                FeedbackQueue::with_telemetry(cfg.tyolo_queue_depth.max(1), qt_tyolo.clone());
+            let q_ref: FeedbackQueue<InFlight> =
+                FeedbackQueue::with_telemetry(cfg.reference_queue_depth.max(1), qt_ref.clone());
+            let q_out: FeedbackQueue<SurvivingFrame> = FeedbackQueue::new(4096);
+
+            tyolo_tels.push(StageTelemetry::register(
+                &tel,
+                &format!("stream{}.tyolo", s),
+            ));
+            let ref_tel = StageTelemetry::register(&tel, &format!("stream{}.reference", s));
+            tyolo_injs.push(plan.injector(s, FaultStage::TYolo));
+
+            // --- supervised SDD stage (CPU in the paper) ---
+            sdd_stages.push(StreamStage {
+                name: "sdd",
                 stream: s,
                 input: q_sdd.clone(),
                 outputs: vec![q_snm.clone()],
-                route: Box::new(|_| 0),
+                route: Arc::new(|_| 0),
                 batch: None,
-                tel: sdd_tel.clone(),
-                sup_tel: sdd_sup_tel,
-                ctx: StageFaultCtx {
-                    inj: inj_sdd.clone(),
-                    seq_in: Box::new(|(_, lf)| lf.frame.seq),
-                    seq_out: Box::new(|(_, lf)| lf.frame.seq),
-                    on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
-                    on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
+                tel: StageTelemetry::register(&tel, &format!("stream{}.sdd", s)),
+                sup_tel: SupervisorTelemetry::register(
+                    &tel,
+                    &format!("rt.supervisor.stream{}.sdd", s),
+                ),
+                inj: plan.injector(s, FaultStage::Sdd),
+                lat: lat_e2e.clone(),
+                body: {
+                    let lat = lat_e2e.clone();
+                    Arc::new(move |mut items, scratch| {
+                        let (t0, lf) = items.pop().expect("one frame per SDD quantum");
+                        if lock(&sdd_state).passes(&lf.frame, scratch) {
+                            items.push((t0, lf));
+                        } else {
+                            lat.record(elapsed_us(t0));
+                        }
+                        items
+                    })
                 },
-                work: Box::new(move |mut items, scratch: &mut Scratch| {
-                    let (t0, lf) = items.pop().expect("one item per filter quantum");
-                    if sdd.distance_with(&lf.frame, scratch) > delta {
-                        vec![(t0, lf)]
-                    } else {
-                        lat_drop.record(elapsed_us(t0));
-                        Vec::new()
-                    }
-                }),
             });
-        } else {
-            let factory = {
-                let q_in = q_sdd.clone();
-                let q_down = q_snm.clone();
-                let stage_tel = sdd_tel.clone();
-                let inj = inj_sdd;
-                let lat = lat_e2e.clone();
-                let sdd = Arc::clone(&sdd);
-                let delta = sdd.delta_diff;
-                move || {
-                    let sdd = Arc::clone(&sdd);
-                    let lat_drop = lat.clone();
-                    let lat_q = lat.clone();
-                    let lat_l = lat.clone();
-                    let ctx: StageFaultCtx<InFlight, InFlight> = StageFaultCtx {
-                        inj: inj.clone(),
-                        seq_in: Box::new(|(_, lf)| lf.frame.seq),
-                        seq_out: Box::new(|(_, lf)| lf.frame.seq),
-                        on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
-                        on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
-                    };
-                    let mut scratch = Scratch::new();
-                    spawn_filter_stage_faulted(
-                        format!("sdd-{}", s),
-                        q_in.clone(),
-                        q_down.clone(),
-                        stage_tel.clone(),
-                        ctx,
-                        move |(t0, lf): InFlight| {
-                            if sdd.distance_with(&lf.frame, &mut scratch) > delta {
-                                Some((t0, lf))
-                            } else {
-                                lat_drop.record(elapsed_us(t0));
-                                None
-                            }
-                        },
-                    )
-                }
-            };
-            let give_up = {
-                let q_in = q_sdd.clone();
-                let q_down = q_snm.clone();
-                let stage_tel = sdd_tel.clone();
-                let lat = lat_e2e.clone();
-                move |_f: &ffsva_sched::StageFailure| {
-                    // Quarantine-drain everything still arriving (the feeder
-                    // closes the queue when the clip ends), then release
-                    // downstream so the rest of the cascade can finish.
-                    while let Some((t0, _)) = q_in.pop() {
-                        stage_tel.frames_quarantined.inc();
-                        lat.record(elapsed_us(t0));
-                    }
-                    q_down.close();
-                }
-            };
-            sdd_sups.push(supervise(
-                format!("sdd-{}", s),
-                sup_policy,
-                sdd_sup_tel,
-                factory,
-                give_up,
-            ));
-        }
 
-        // --- supervised SNM stage with batch formation (GPU-0) ---
-        let snm_sup_tel =
-            SupervisorTelemetry::register(&tel, &format!("rt.supervisor.stream{}.snm", s));
-        if pooled {
-            // Slot for the sharded SNM pool. Batch composition may differ
-            // from the threaded layout (the pool bulk-pops), but the batched
-            // SNM forward is bit-identical to per-frame inference, so the
-            // survivor set cannot move; `snm.batches` is name-conformant
-            // only, never value-compared.
-            let lat_drop = lat_e2e.clone();
-            let lat_q = lat_e2e.clone();
-            let lat_l = lat_e2e.clone();
-            let snm = Arc::clone(&snm);
-            let precision = cfg.snm_precision;
-            let batches = c_batches.clone();
-            let bypass = Arc::clone(&bypass);
-            snm_slots.push(PoolSlot {
+            // --- supervised SNM stage with batch formation (GPU-0) ---
+            // Batch composition differs between layouts (the pool bulk-pops),
+            // but the batched SNM forward is bit-identical to per-frame
+            // inference, so the survivor set cannot move; `snm.batches` is
+            // name-conformant only, never value-compared.
+            snm_stages.push(StreamStage {
+                name: "snm",
                 stream: s,
-                input: q_snm.clone(),
+                input: q_snm,
                 outputs: vec![q_tyolo.clone(), q_ref.clone()],
-                route: Box::new(move |_| usize::from(bypass.load(Ordering::Relaxed))),
-                batch: Some(cfg.batch_policy),
-                tel: snm_tel.clone(),
-                sup_tel: snm_sup_tel,
-                ctx: StageFaultCtx {
-                    inj: inj_snm.clone(),
-                    seq_in: Box::new(|(_, lf)| lf.frame.seq),
-                    seq_out: Box::new(|(_, lf)| lf.frame.seq),
-                    on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
-                    on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
-                },
-                work: Box::new(move |batch: Vec<InFlight>, scratch: &mut Scratch| {
-                    batches.inc();
-                    let frames: Vec<&Frame> = batch.iter().map(|(_, lf)| &lf.frame).collect();
-                    let probs = snm_predict(
-                        &mut snm.lock().unwrap_or_else(|e| e.into_inner()),
-                        precision,
-                        &frames,
-                        scratch,
-                    );
-                    batch
-                        .into_iter()
-                        .zip(probs)
-                        .filter_map(|((t0, lf), p)| {
-                            if p >= t_pre {
-                                Some((t0, lf))
-                            } else {
-                                lat_drop.record(elapsed_us(t0));
-                                None
-                            }
-                        })
-                        .collect()
-                }),
-            });
-        } else {
-            let factory = {
-                let q_in = q_snm.clone();
-                let outs = vec![q_tyolo.clone(), q_ref.clone()];
-                let stage_tel = snm_tel.clone();
-                let inj = inj_snm;
-                let lat = lat_e2e.clone();
-                let snm = Arc::clone(&snm);
-                let batches = c_batches.clone();
-                let bypass = Arc::clone(&bypass);
-                let policy = cfg.batch_policy;
-                let precision = cfg.snm_precision;
-                move || {
-                    let snm = Arc::clone(&snm);
-                    let lat_drop = lat.clone();
-                    let lat_q = lat.clone();
-                    let lat_l = lat.clone();
-                    let batches = batches.clone();
+                route: {
                     let bypass = Arc::clone(&bypass);
-                    let ctx: StageFaultCtx<InFlight, InFlight> = StageFaultCtx {
-                        inj: inj.clone(),
-                        seq_in: Box::new(|(_, lf)| lf.frame.seq),
-                        seq_out: Box::new(|(_, lf)| lf.frame.seq),
-                        on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
-                        on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
+                    Arc::new(move |_| usize::from(bypass.load(Ordering::Relaxed)))
+                },
+                batch: Some(cfg.batch_policy),
+                tel: StageTelemetry::register(&tel, &format!("stream{}.snm", s)),
+                sup_tel: SupervisorTelemetry::register(
+                    &tel,
+                    &format!("rt.supervisor.stream{}.snm", s),
+                ),
+                inj: plan.injector(s, FaultStage::Snm),
+                lat: lat_e2e.clone(),
+                body: {
+                    let lat = lat_e2e.clone();
+                    let batches = c_batches.clone();
+                    let precision = cfg.snm_precision;
+                    Arc::new(move |batch, scratch| {
+                        batches.inc();
+                        let frames: Vec<&Frame> = batch.iter().map(|(_, lf)| &lf.frame).collect();
+                        let verdicts = lock(&snm_state).passes(&frames, precision, scratch);
+                        batch
+                            .into_iter()
+                            .zip(verdicts)
+                            .filter_map(|((t0, lf), pass)| {
+                                if pass {
+                                    Some((t0, lf))
+                                } else {
+                                    lat.record(elapsed_us(t0));
+                                    None
+                                }
+                            })
+                            .collect()
+                    })
+                },
+            });
+
+            // --- reference stage (GPU-1), shared-fate with the whole run ---
+            let lat = lat_e2e.clone();
+            let lat_r = lat_ref.clone();
+            let ctx: StageFaultCtx<InFlight, SurvivingFrame> = StageFaultCtx {
+                inj: plan.injector(s, FaultStage::Reference),
+                seq_in: Box::new(|(_, lf)| lf.frame.seq),
+                seq_out: Box::new(|sf| sf.seq),
+                // validate() forbids panic/failpush on the reference stage, so
+                // these hooks are unreachable; stalls need no disposal.
+                on_quarantine: Box::new(|_| {}),
+                on_lost: Box::new(|_| {}),
+            };
+            ref_handles.push(spawn_filter_stage_faulted(
+                format!("reference-{}", s),
+                q_ref.clone(),
+                q_out.clone(),
+                ref_tel,
+                ctx,
+                move |(t0, lf): InFlight| {
+                    let out = SurvivingFrame {
+                        seq: lf.frame.seq,
+                        pts_ms: lf.frame.pts_ms,
+                        reference_count: reference.count(&lf.truth, target),
                     };
-                    let mut scratch = Scratch::new();
-                    spawn_batch_stage_faulted(
-                        format!("snm-{}", s),
-                        q_in.clone(),
-                        outs.clone(),
-                        move |_| usize::from(bypass.load(Ordering::Relaxed)),
-                        policy,
-                        stage_tel.clone(),
-                        ctx,
-                        move |batch: Vec<InFlight>| {
-                            batches.inc();
-                            let frames: Vec<&Frame> =
-                                batch.iter().map(|(_, lf)| &lf.frame).collect();
-                            let probs = snm_predict(
-                                &mut snm.lock().unwrap_or_else(|e| e.into_inner()),
-                                precision,
-                                &frames,
-                                &mut scratch,
-                            );
-                            batch
-                                .into_iter()
-                                .zip(probs)
-                                .filter_map(|((t0, lf), p)| {
-                                    if p >= t_pre {
-                                        Some((t0, lf))
-                                    } else {
-                                        lat_drop.record(elapsed_us(t0));
-                                        None
-                                    }
-                                })
-                                .collect()
-                        },
-                    )
-                }
-            };
-            let give_up = {
-                let q_in = q_snm.clone();
-                let q_down = q_tyolo.clone();
-                let stage_tel = snm_tel.clone();
-                let lat = lat_e2e.clone();
-                move |_f: &ffsva_sched::StageFailure| {
-                    while let Some((t0, _)) = q_in.pop() {
-                        stage_tel.frames_quarantined.inc();
-                        lat.record(elapsed_us(t0));
-                    }
-                    q_down.close();
-                }
-            };
-            snm_sups.push(supervise(
-                format!("snm-{}", s),
-                sup_policy,
-                snm_sup_tel,
-                factory,
-                give_up,
+                    let us = elapsed_us(t0);
+                    lat.record(us);
+                    lat_r.record(us);
+                    Some(out)
+                },
             ));
-        }
 
-        // --- reference stage (GPU-1), shared-fate with the whole run ---
-        let lat = lat_e2e.clone();
-        let lat_r = lat_ref.clone();
-        let ctx: StageFaultCtx<InFlight, SurvivingFrame> = StageFaultCtx {
-            inj: inj_ref,
-            seq_in: Box::new(|(_, lf)| lf.frame.seq),
-            seq_out: Box::new(|sf| sf.seq),
-            // validate() forbids panic/failpush on the reference stage, so
-            // these hooks are unreachable; stalls need no disposal.
-            on_quarantine: Box::new(|_| {}),
-            on_lost: Box::new(|_| {}),
-        };
-        ref_handles.push(spawn_filter_stage_faulted(
-            format!("reference-{}", s),
-            q_ref.clone(),
-            q_out.clone(),
-            ref_tel,
-            ctx,
-            move |(t0, lf): InFlight| {
-                let out = SurvivingFrame {
-                    seq: lf.frame.seq,
-                    pts_ms: lf.frame.pts_ms,
-                    reference_count: reference.count(&lf.truth, target),
-                };
-                let us = elapsed_us(t0);
-                lat.record(us);
-                lat_r.record(us);
-                Some(out)
-            },
-        ));
-
-        // --- ingest worker: feed the pipeline, defending the cascade from
-        // source faults (disconnects, corruption, drops, reorder, dups) ---
-        let q_in = q_sdd;
-        let frames_in = c_in.clone();
-        if faulty {
-            let src_tel = StageTelemetry::register(&tel, &format!("stream{}.src", s));
-            let inj = src_plan.injector(s);
-            let policy = cfg.reconnect_policy();
-            let reorder_cap = cfg.reorder_buffer;
-            let (c_rec, c_cor, c_evi, c_dup) =
-                src_counters.clone().expect("registered when faulty");
-            // One-shot faults aimed below the resume point already fired in
-            // the segment that wrote the checkpoint.
-            let first_seq = clip.get(skip).map(|lf| lf.frame.seq);
-            if let Some(fs) = first_seq {
-                inj.fast_forward(fs);
-            }
-            feeders.push(std::thread::spawn(move || {
-                let mut src =
-                    UnreliableSource::new(ClipSource::starting_at(clip, skip as u64), inj);
-                let mut core = IngestCore::<LabeledFrame>::new(reorder_cap);
+            // --- ingest worker: feed the pipeline, defending the cascade from
+            // source faults (disconnects, corruption, drops, reorder, dups) ---
+            let q_in = q_sdd;
+            let frames_in = c_in.clone();
+            if faulty {
+                let src_tel = StageTelemetry::register(&tel, &format!("stream{}.src", s));
+                let inj = src_plan.injector(s);
+                let policy = cfg.reconnect_policy();
+                let reorder_cap = cfg.reorder_buffer;
+                let (c_rec, c_cor, c_evi, c_dup) =
+                    src_counters.clone().expect("registered when faulty");
+                // One-shot faults aimed below the resume point already fired in
+                // the segment that wrote the checkpoint.
+                let first_seq = clip.get(skip).map(|lf| lf.frame.seq);
                 if let Some(fs) = first_seq {
-                    core = core.resume_at(fs);
+                    inj.fast_forward(fs);
                 }
-                let mut lost = false;
-                let mut reconnects = 0u64;
-                let deliver = |out: IngestOutput<LabeledFrame>| match out {
-                    IngestOutput::Deliver(_, lf) => {
-                        if q_in.push((Instant::now(), lf)).is_ok() {
-                            frames_in.inc();
-                            src_tel.frames_out.inc();
-                        }
+                feeders.push(std::thread::spawn(move || {
+                    let mut src =
+                        UnreliableSource::new(ClipSource::starting_at(clip, skip as u64), inj);
+                    let mut core = IngestCore::<LabeledFrame>::new(reorder_cap);
+                    if let Some(fs) = first_seq {
+                        core = core.resume_at(fs);
                     }
-                    IngestOutput::Corrupt(..) => {
-                        src_tel.frames_quarantined.inc();
-                        c_cor.inc();
-                    }
-                    IngestOutput::Evict(..) => {
-                        src_tel.frames_dropped.inc();
-                        c_evi.inc();
-                    }
-                    IngestOutput::Duplicate(..) => c_dup.inc(),
-                };
-                loop {
-                    match src.next_item() {
-                        SourceItem::Frame {
-                            lf,
-                            claimed_checksum,
-                        } => {
-                            let corrupt = frame_checksum(&lf.frame) != claimed_checksum;
-                            let seq = lf.frame.seq;
-                            for out in core.accept(seq, lf, corrupt) {
-                                deliver(out);
+                    let mut lost = false;
+                    let mut reconnects = 0u64;
+                    let deliver = |out: IngestOutput<LabeledFrame>| match out {
+                        IngestOutput::Deliver(_, lf) => {
+                            if q_in.push((Instant::now(), lf)).is_ok() {
+                                frames_in.inc();
+                                src_tel.frames_out.inc();
                             }
                         }
-                        // silently lost at the source; totalled once below
-                        // via `src.dropped()`
-                        SourceItem::Dropped { .. } => {}
-                        SourceItem::Disconnect { dur_ms } => match plan_reconnect(dur_ms, policy) {
-                            ReconnectOutcome::Reconnected { waited_ms, .. } => {
-                                reconnects += 1;
-                                c_rec.inc();
-                                std::thread::sleep(Duration::from_millis(waited_ms));
+                        IngestOutput::Corrupt(..) => {
+                            src_tel.frames_quarantined.inc();
+                            c_cor.inc();
+                        }
+                        IngestOutput::Evict(..) => {
+                            src_tel.frames_dropped.inc();
+                            c_evi.inc();
+                        }
+                        IngestOutput::Duplicate(..) => c_dup.inc(),
+                    };
+                    loop {
+                        match src.next_item() {
+                            SourceItem::Frame {
+                                lf,
+                                claimed_checksum,
+                            } => {
+                                let corrupt = frame_checksum(&lf.frame) != claimed_checksum;
+                                let seq = lf.frame.seq;
+                                for out in core.accept(seq, lf, corrupt) {
+                                    deliver(out);
+                                }
                             }
-                            ReconnectOutcome::Lost { .. } => {
-                                // Retry budget exhausted: everything still in
-                                // flight or unread is lost with the link.
-                                lost = true;
-                                src_tel.frames_dropped.add(src.abandon());
-                                break;
+                            // silently lost at the source; totalled once below
+                            // via `src.dropped()`
+                            SourceItem::Dropped { .. } => {}
+                            SourceItem::Disconnect { dur_ms } => {
+                                match plan_reconnect(dur_ms, policy) {
+                                    ReconnectOutcome::Reconnected { waited_ms, .. } => {
+                                        reconnects += 1;
+                                        c_rec.inc();
+                                        std::thread::sleep(Duration::from_millis(waited_ms));
+                                    }
+                                    ReconnectOutcome::Lost { .. } => {
+                                        // Retry budget exhausted: everything still in
+                                        // flight or unread is lost with the link.
+                                        lost = true;
+                                        src_tel.frames_dropped.add(src.abandon());
+                                        break;
+                                    }
+                                }
                             }
+                            SourceItem::End => break,
+                        }
+                    }
+                    // Flush the reorder gate even after link loss: held frames
+                    // were already received on our side of the link. The DES
+                    // ingest prep drains its gate identically.
+                    for out in core.finish() {
+                        deliver(out);
+                    }
+                    src_tel.frames_dropped.add(src.dropped());
+                    src_tel.frames_in.add(src.position() - skip as u64);
+                    q_in.close();
+                    SourceReport {
+                        cursor: src.position(),
+                        source_lost: lost,
+                        reconnects,
+                        stats: core.stats(),
+                    }
+                }));
+            } else {
+                feeders.push(std::thread::spawn(move || {
+                    let mut fed = 0u64;
+                    for lf in clip.into_iter().skip(skip) {
+                        if q_in.push((Instant::now(), lf)).is_err() {
+                            break;
+                        }
+                        frames_in.inc();
+                        fed += 1;
+                    }
+                    q_in.close();
+                    SourceReport {
+                        cursor: skip as u64 + fed,
+                        source_lost: false,
+                        reconnects: 0,
+                        stats: IngestStats {
+                            delivered: fed,
+                            ..IngestStats::default()
                         },
-                        SourceItem::End => break,
                     }
+                }));
+            }
+
+            tyolo_qs.push(q_tyolo);
+            ref_qs.push(q_ref);
+            // Survivors drain concurrently — draining sequentially could
+            // deadlock: a full output queue on stream B would backpressure the
+            // shared T-YOLO while the main thread still waits on stream A.
+            // Resume: survivors collected before the checkpoint precede this
+            // run's.
+            let mut kept = bases[s].survivors.clone();
+            collectors.push(std::thread::spawn(move || {
+                while let Some(sf) = q_out.pop() {
+                    kept.push(sf);
                 }
-                // Flush the reorder gate even after link loss: held frames
-                // were already received on our side of the link. The DES
-                // ingest prep drains its gate identically.
-                for out in core.finish() {
-                    deliver(out);
-                }
-                src_tel.frames_dropped.add(src.dropped());
-                src_tel.frames_in.add(src.position() - skip as u64);
-                q_in.close();
-                let stats = core.stats();
-                SourceReport {
-                    cursor: src.position(),
-                    source_lost: lost,
-                    delivered: stats.delivered,
-                    corrupt: stats.corrupt,
-                    evicted: stats.evicted,
-                    duplicates: stats.duplicates,
-                    reconnects,
-                }
-            }));
-        } else {
-            feeders.push(std::thread::spawn(move || {
-                let mut fed = 0u64;
-                for lf in clip.into_iter().skip(skip) {
-                    if q_in.push((Instant::now(), lf)).is_err() {
-                        break;
-                    }
-                    frames_in.inc();
-                    fed += 1;
-                }
-                q_in.close();
-                SourceReport::clean(skip as u64, fed)
+                kept
             }));
         }
 
-        tyolo_qs.push(q_tyolo);
-        ref_qs.push(q_ref);
-        out_qs.push(q_out);
-    }
+        // The scheduling fork, and the only one: a pool's worker count when
+        // pooled (names match the threaded stage-name prefixes), `None` for a
+        // supervised thread per stream.
+        let [join_sdd, join_snm] = [
+            ("sdd", cfg.pool_workers_sdd, sdd_stages),
+            ("snm", cfg.pool_workers_snm, snm_stages),
+        ]
+        .map(|(name, workers, stages)| {
+            start_stages(name, pooled.then_some(workers), sup_policy, stages, &tel)
+        });
 
-    // Pooled layout: two sharded worker pools host every stream's SDD and
-    // SNM slots on a fixed thread count. The pool names match the threaded
-    // stage-name prefixes ("sdd"/"snm") so injected-panic payloads render
-    // identically (`stage \`sdd-3\` at frame seq N`) in both layouts.
-    let pools = if pooled {
-        let wsdd = cfg.pool_workers_sdd.max(1);
-        let wsnm = cfg.pool_workers_snm.max(1);
-        let sdd_pool = spawn_stage_pool(
-            "sdd",
-            PoolPolicy {
-                workers: wsdd,
-                restart_budget: sup_policy.restart_budget,
-                backoff: sup_policy.backoff,
-            },
-            std::mem::take(&mut sdd_slots),
-            (0..wsdd).map(|_| Scratch::new()).collect(),
-            PoolTelemetry::register(&tel, "rt.pool.sdd"),
-        );
-        let snm_pool = spawn_stage_pool(
-            "snm",
-            PoolPolicy {
-                workers: wsnm,
-                restart_budget: sup_policy.restart_budget,
-                backoff: sup_policy.backoff,
-            },
-            std::mem::take(&mut snm_slots),
-            (0..wsnm).map(|_| Scratch::new()).collect(),
-            PoolTelemetry::register(&tel, "rt.pool.snm"),
-        );
-        Some((sdd_pool, snm_pool))
-    } else {
-        None
-    };
-
-    // The single shared T-YOLO thread.
-    let tyolo = shared_tyolo.expect("at least one stream");
-    let tyolo_in = tyolo_qs.clone();
-    let tyolo_out = ref_qs.clone();
-    let tyolo_targets = targets.clone();
-    let ty_precision = cfg.tyolo_precision;
-    let c_cycles = tel.counter("tyolo.cycles");
-    let lat = lat_e2e.clone();
-    let tyolo_progress = Arc::new(AtomicU64::new(0));
-    let progress = Arc::clone(&tyolo_progress);
-    let injs = tyolo_injs;
-    let tyolo_handle = std::thread::Builder::new()
-        .name("tyolo-shared".into())
-        .spawn(move || {
-            let mut processed = 0u64;
-            let mut scratch = Scratch::new();
-            loop {
-                let mut any = false;
-                let mut all_closed = true;
-                for s in 0..n_streams {
-                    if !tyolo_in[s].is_closed() || !tyolo_in[s].is_empty() {
-                        all_closed = false;
-                    }
-                    // §3.2.3: at most num_tyolo frames per stream per cycle
-                    for (t0, lf) in tyolo_in[s].try_pop_up_to(num_tyolo) {
-                        any = true;
-                        let seq = lf.frame.seq;
-                        // the only injectable T-YOLO faults are stalls (the
-                        // watchdog's trigger) and lost pushes
-                        if let FaultAction::Stall(us) = injs[s].check(seq) {
-                            std::thread::sleep(Duration::from_micros(us));
+        // The single shared T-YOLO thread.
+        let tyolo = shared_tyolo.expect("at least one stream");
+        let tyolo_in = tyolo_qs.clone();
+        let tyolo_out = ref_qs;
+        let ty_precision = cfg.tyolo_precision;
+        let c_cycles = tel.counter("tyolo.cycles");
+        let lat = lat_e2e.clone();
+        let tyolo_progress = Arc::new(AtomicU64::new(0));
+        let progress = Arc::clone(&tyolo_progress);
+        let injs = tyolo_injs;
+        let tyolo_handle = std::thread::Builder::new()
+            .name("tyolo-shared".into())
+            .spawn(move || {
+                let mut processed = 0u64;
+                let mut scratch = Scratch::new();
+                loop {
+                    let mut any = false;
+                    let mut all_closed = true;
+                    for s in 0..n_streams {
+                        if !tyolo_in[s].is_closed() || !tyolo_in[s].is_empty() {
+                            all_closed = false;
                         }
-                        processed += 1;
-                        tyolo_tels[s].frames_in.inc();
-                        if tyolo_count(
-                            &tyolo,
-                            ty_precision,
-                            &lf.frame,
-                            tyolo_targets[s],
-                            &mut scratch,
-                        ) >= number_of_objects
-                        {
-                            if injs[s].fail_push(seq) {
+                        // §3.2.3: at most num_tyolo frames per stream per cycle
+                        for (t0, lf) in tyolo_in[s].try_pop_up_to(num_tyolo) {
+                            any = true;
+                            let seq = lf.frame.seq;
+                            // the only injectable T-YOLO faults are stalls (the
+                            // watchdog's trigger) and lost pushes
+                            if let FaultAction::Stall(us) = injs[s].check(seq) {
+                                std::thread::sleep(Duration::from_micros(us));
+                            }
+                            processed += 1;
+                            tyolo_tels[s].frames_in.inc();
+                            if tyolo_count(
+                                &tyolo,
+                                ty_precision,
+                                &lf.frame,
+                                targets[s],
+                                &mut scratch,
+                            ) >= number_of_objects
+                            {
+                                if injs[s].fail_push(seq) {
+                                    tyolo_tels[s].frames_dropped.inc();
+                                    lat.record(elapsed_us(t0));
+                                } else {
+                                    tyolo_tels[s].frames_out.inc();
+                                    let _ = tyolo_out[s].push((t0, lf));
+                                }
+                            } else {
                                 tyolo_tels[s].frames_dropped.inc();
                                 lat.record(elapsed_us(t0));
-                            } else {
-                                tyolo_tels[s].frames_out.inc();
-                                let _ = tyolo_out[s].push((t0, lf));
                             }
-                        } else {
-                            tyolo_tels[s].frames_dropped.inc();
-                            lat.record(elapsed_us(t0));
-                        }
-                        progress.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if any {
-                    c_cycles.inc();
-                }
-                if all_closed {
-                    break;
-                }
-                if !any {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-            }
-            for q in &tyolo_out {
-                q.close();
-            }
-            processed
-        })
-        .expect("spawn shared tyolo");
-
-    // Watchdog over the shared T-YOLO's progress heartbeat. `Block` is the
-    // do-nothing policy, so the watchdog only spawns when a degradation
-    // action exists to fire.
-    let watchdog = if cfg.watchdog_deadline_ms > 0 && cfg.degrade_policy != DegradePolicy::Block {
-        let backlog_qs = tyolo_qs.clone();
-        let on_stall: Box<dyn FnMut() + Send> = match cfg.degrade_policy {
-            DegradePolicy::ShedOldest { max_lag_ms } => {
-                let qs = tyolo_qs.clone();
-                let lat = lat_e2e.clone();
-                let shed = c_shed.clone();
-                Box::new(move || {
-                    for q in &qs {
-                        for (t0, _) in
-                            q.drain_while(|(t0, _)| t0.elapsed().as_millis() as u64 >= max_lag_ms)
-                        {
-                            shed.inc();
-                            lat.record(elapsed_us(t0));
+                            progress.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                })
-            }
-            DegradePolicy::Bypass => {
-                let bypass = Arc::clone(&bypass);
-                Box::new(move || bypass.store(true, Ordering::Relaxed))
-            }
-            DegradePolicy::Block => Box::new(|| {}),
-        };
-        Some(Watchdog::spawn(
-            Duration::from_millis(cfg.watchdog_deadline_ms),
-            c_trips.clone(),
-            vec![WatchEntry {
-                name: "tyolo-shared".into(),
-                progress: tyolo_progress,
-                backlog: Box::new(move || backlog_qs.iter().map(|q| q.len()).sum()),
-                on_stall,
-            }],
-        ))
-    } else {
-        None
-    };
-
-    // Drain survivors concurrently — draining sequentially could deadlock:
-    // a full output queue on stream B would backpressure the shared T-YOLO
-    // while the main thread still waits on stream A.
-    let collectors: Vec<_> = out_qs
-        .iter()
-        .map(|q| {
-            let q = q.clone();
-            std::thread::spawn(move || {
-                let mut v = Vec::new();
-                while let Some(sfr) = q.pop() {
-                    v.push(sfr);
+                    if any {
+                        c_cycles.inc();
+                    }
+                    if all_closed {
+                        break;
+                    }
+                    if !any {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
                 }
-                v
+                for q in &tyolo_out {
+                    q.close();
+                }
+                processed
             })
-        })
-        .collect();
-    let survivors: Vec<Vec<SurvivingFrame>> = collectors
-        .into_iter()
-        .map(|c| c.join().expect("collector"))
-        .collect();
-    // Resume: survivors collected before the checkpoint precede this run's.
-    let survivors: Vec<Vec<SurvivingFrame>> = survivors
-        .into_iter()
-        .enumerate()
-        .map(|(s, tail)| {
-            let mut v = bases[s].survivors.clone();
-            v.extend(tail);
-            v
-        })
-        .collect();
+            .expect("spawn shared tyolo");
 
-    let reports: Vec<SourceReport> = feeders
-        .into_iter()
-        .map(|f| f.join().expect("feeder"))
-        .collect();
-    // Either layout collapses to the same per-stream report shape; pool
-    // outcomes arrive in slot order, which is stream order by construction.
-    let (sdd_outcomes, snm_outcomes): (Vec<StageReport>, Vec<StageReport>) = match pools {
-        Some((sdd_pool, snm_pool)) => (
-            sdd_pool.join().into_iter().map(StageReport::from).collect(),
-            snm_pool.join().into_iter().map(StageReport::from).collect(),
-        ),
-        None => (
-            sdd_sups
-                .into_iter()
-                .map(|sup| StageReport::from(sup.join()))
-                .collect(),
-            snm_sups
-                .into_iter()
-                .map(|sup| StageReport::from(sup.join()))
-                .collect(),
-        ),
-    };
-    let tyolo_n = tyolo_handle.join().expect("tyolo thread");
-    let ref_n: u64 = ref_handles
-        .into_iter()
-        .map(|h| h.join().expect("reference stage"))
-        .sum();
-    if let Some(wd) = watchdog {
-        wd.stop();
-    }
-
-    // Final checkpoints: every stage has joined, so all counters are
-    // quiescent. Written before the final snapshot so `checkpoint.writes`
-    // lands in the reported telemetry.
-    if let Some(spec) = ckpt {
-        let snap = tel.snapshot();
-        let (c_writes, h_age) = ckpt_tel.as_ref().expect("registered with spec");
-        for s in 0..n_streams {
-            let mut ck = StreamCheckpoint::fresh(s);
-            ck.cursor = reports[s].cursor.max(bases[s].cursor);
-            ck.survivors = survivors[s].clone();
-            if let Some((th, sdd, band)) = &ckpt_states[s] {
-                ck.thresholds = Some(*th);
-                ck.sdd = Some(sdd.clone());
-                ck.snm_thresholds = Some(*band);
-            }
-            ck.restarts_used = bases[s].restarts_used
-                + u64::from(sdd_outcomes[s].restarts)
-                + u64::from(snm_outcomes[s].restarts);
-            ck.source_lost = bases[s].source_lost || reports[s].source_lost;
-            // Live counters already include the resumed base shares, so the
-            // stream scope copies over verbatim; the globals record this
-            // stream's share only.
-            let scope = format!("stream{}.", s);
-            for (name, v) in &snap.counters {
-                if name.starts_with(&scope) {
-                    ck.counters.insert(name.clone(), *v);
+        // Watchdog over the shared T-YOLO's progress heartbeat. `Block` is the
+        // do-nothing policy, so the watchdog only spawns when a degradation
+        // action exists to fire.
+        let watchdog = if cfg.watchdog_deadline_ms > 0 && cfg.degrade_policy != DegradePolicy::Block
+        {
+            let backlog_qs = tyolo_qs.clone();
+            let on_stall: Box<dyn FnMut() + Send> = match cfg.degrade_policy {
+                DegradePolicy::ShedOldest { max_lag_ms } => {
+                    let qs = tyolo_qs.clone();
+                    let lat = lat_e2e.clone();
+                    let shed = c_shed.clone();
+                    Box::new(move || {
+                        for q in &qs {
+                            for (t0, _) in q.drain_while(|(t0, _)| {
+                                t0.elapsed().as_millis() as u64 >= max_lag_ms
+                            }) {
+                                shed.inc();
+                                lat.record(elapsed_us(t0));
+                            }
+                        }
+                    })
                 }
-            }
-            let base_in = bases[s]
-                .counters
-                .get("pipeline.frames_in")
-                .copied()
-                .unwrap_or(0);
-            ck.counters.insert(
-                "pipeline.frames_in".to_string(),
-                base_in + reports[s].delivered,
-            );
-            for (name, live) in [
-                ("src.reconnects", reports[s].reconnects),
-                ("src.corrupt", reports[s].corrupt),
-                ("src.reorder_evictions", reports[s].evicted),
-                ("src.duplicates", reports[s].duplicates),
-            ] {
-                let base = bases[s].counters.get(name).copied().unwrap_or(0);
-                if faulty || base > 0 {
-                    ck.counters.insert(name.to_string(), base + live);
+                DegradePolicy::Bypass => {
+                    let bypass = Arc::clone(&bypass);
+                    Box::new(move || bypass.store(true, Ordering::Relaxed))
                 }
-            }
-            write_stream_checkpoint(&spec.dir, &ck).expect("write checkpoint");
-            c_writes.inc();
-            h_age.record(start.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-
-    let wall = start.elapsed().as_secs_f64();
-    tel.counter("rt.wall_time_us").add((wall * 1e6) as u64);
-    let snapshot = tel.snapshot();
-
-    let sdd_n: u64 = sdd_outcomes.iter().map(|o| o.processed).sum();
-    let snm_n: u64 = snm_outcomes.iter().map(|o| o.processed).sum();
-    let stream_health: Vec<StreamHealth> = (0..n_streams)
-        .map(|s| {
-            let (sdd_o, snm_o) = (&sdd_outcomes[s], &snm_outcomes[s]);
-            let failed_stage = if sdd_o.gave_up {
-                Some("sdd".to_string())
-            } else if snm_o.gave_up {
-                Some("snm".to_string())
-            } else {
-                None
+                DegradePolicy::Block => Box::new(|| {}),
             };
-            StreamHealth {
-                quarantined: failed_stage.is_some(),
-                failed_stage,
-                restarts: u64::from(sdd_o.restarts) + u64::from(snm_o.restarts),
-                frames_quarantined: snapshot
-                    .counter(&format!("stream{}.sdd.frames_quarantined", s))
-                    + snapshot.counter(&format!("stream{}.snm.frames_quarantined", s)),
-                source_lost: bases[s].source_lost || reports[s].source_lost,
-            }
-        })
-        .collect();
+            Some(Watchdog::spawn(
+                Duration::from_millis(cfg.watchdog_deadline_ms),
+                c_trips.clone(),
+                vec![WatchEntry {
+                    name: "tyolo-shared".into(),
+                    progress: tyolo_progress,
+                    backlog: Box::new(move || backlog_qs.iter().map(|q| q.len()).sum()),
+                    on_stall,
+                }],
+            ))
+        } else {
+            None
+        };
 
-    MultiRtResult {
-        total_frames: total,
-        stage_processed: [sdd_n, snm_n, tyolo_n, ref_n],
-        survivors,
-        wall_time_s: wall,
-        throughput_fps: total as f64 / wall.max(1e-9),
-        stream_health,
-        shed_frames: snapshot.counter("rt.watchdog.shed"),
-        telemetry: snapshot,
+        let survivors: Vec<Vec<SurvivingFrame>> = collectors
+            .into_iter()
+            .map(|c| c.join().expect("collector"))
+            .collect();
+        let reports: Vec<SourceReport> = feeders
+            .into_iter()
+            .map(|f| f.join().expect("feeder"))
+            .collect();
+        let (sdd_outcomes, snm_outcomes) = (join_sdd(), join_snm());
+        let tyolo_n = tyolo_handle.join().expect("tyolo thread");
+        let ref_n: u64 = ref_handles
+            .into_iter()
+            .map(|h| h.join().expect("reference stage"))
+            .sum();
+        if let Some(wd) = watchdog {
+            wd.stop();
+        }
+
+        // Final checkpoints: every stage has joined, so all counters are
+        // quiescent. Written before the final snapshot so `checkpoint.writes`
+        // lands in the reported telemetry.
+        if let Some(spec) = ckpt {
+            let snap = tel.snapshot();
+            let (c_writes, h_age) = ckpt_tel.as_ref().expect("registered with spec");
+            for s in 0..n_streams {
+                let mut ck = StreamCheckpoint::fresh(s);
+                ck.cursor = reports[s].cursor.max(bases[s].cursor);
+                ck.survivors = survivors[s].clone();
+                // The live stage state, not a pre-run copy: a drift rebuild or
+                // a lowered `t_pre` is what a resumed run must start from.
+                let (sdd_st, snm_st) = (lock(&models[s].0), lock(&models[s].1));
+                ck.thresholds = Some(StreamThresholds {
+                    delta_diff: sdd_st.sdd.delta_diff,
+                    t_pre: snm_st.t_pre,
+                    number_of_objects: cfg.number_of_objects,
+                });
+                ck.sdd = Some(sdd_st.sdd.clone());
+                ck.snm_thresholds = Some((snm_st.snm.c_low, snm_st.snm.c_high));
+                ck.restarts_used = bases[s].restarts_used
+                    + u64::from(sdd_outcomes[s].restarts())
+                    + u64::from(snm_outcomes[s].restarts());
+                ck.source_lost = bases[s].source_lost || reports[s].source_lost;
+                // Live counters already include the resumed base shares, so the
+                // stream scope copies over verbatim; the globals record this
+                // stream's share only.
+                let scope = format!("stream{}.", s);
+                for (name, v) in &snap.counters {
+                    if name.starts_with(&scope) {
+                        ck.counters.insert(name.clone(), *v);
+                    }
+                }
+                let base_in = bases[s]
+                    .counters
+                    .get("pipeline.frames_in")
+                    .copied()
+                    .unwrap_or(0);
+                ck.counters.insert(
+                    "pipeline.frames_in".to_string(),
+                    base_in + reports[s].stats.delivered,
+                );
+                for (name, live) in [
+                    ("src.reconnects", reports[s].reconnects),
+                    ("src.corrupt", reports[s].stats.corrupt),
+                    ("src.reorder_evictions", reports[s].stats.evicted),
+                    ("src.duplicates", reports[s].stats.duplicates),
+                ] {
+                    let base = bases[s].counters.get(name).copied().unwrap_or(0);
+                    if faulty || base > 0 {
+                        ck.counters.insert(name.to_string(), base + live);
+                    }
+                }
+                write_stream_checkpoint(&spec.dir, &ck).expect("write checkpoint");
+                c_writes.inc();
+                h_age.record(start.elapsed().as_secs_f64() * 1e3);
+            }
+        }
+
+        let wall = start.elapsed().as_secs_f64();
+        tel.counter("rt.wall_time_us").add((wall * 1e6) as u64);
+        let snapshot = tel.snapshot();
+
+        let sdd_n: u64 = sdd_outcomes.iter().map(StageOutcome::processed).sum();
+        let snm_n: u64 = snm_outcomes.iter().map(StageOutcome::processed).sum();
+        let stream_health: Vec<StreamHealth> = (0..n_streams)
+            .map(|s| {
+                let (sdd_o, snm_o) = (&sdd_outcomes[s], &snm_outcomes[s]);
+                let failed_stage = if sdd_o.gave_up() {
+                    Some("sdd".to_string())
+                } else if snm_o.gave_up() {
+                    Some("snm".to_string())
+                } else {
+                    None
+                };
+                StreamHealth {
+                    quarantined: failed_stage.is_some(),
+                    failed_stage,
+                    restarts: u64::from(sdd_o.restarts()) + u64::from(snm_o.restarts()),
+                    frames_quarantined: snapshot
+                        .counter(&format!("stream{}.sdd.frames_quarantined", s))
+                        + snapshot.counter(&format!("stream{}.snm.frames_quarantined", s)),
+                    source_lost: bases[s].source_lost || reports[s].source_lost,
+                }
+            })
+            .collect();
+
+        MultiRtResult {
+            total_frames: total,
+            stage_processed: [sdd_n, snm_n, tyolo_n, ref_n],
+            survivors,
+            wall_time_s: wall,
+            throughput_fps: total as f64 / wall.max(1e-9),
+            stream_health,
+            shed_frames: snapshot.counter("rt.watchdog.shed"),
+            telemetry: snapshot,
+        }
     }
 }
 
@@ -1609,7 +1262,8 @@ mod tests {
             .count();
 
         let cfg = FfsVaConfig::default();
-        let r = run_pipeline_rt(eval, bank, &cfg);
+        let r = run_multi_pipeline_rt(vec![(eval, bank)], &cfg);
+        let survivors = &r.survivors[0];
         assert_eq!(r.total_frames, 900);
         assert_eq!(r.stage_processed[0], 900, "SDD sees all frames");
         // cascade shrinks the load monotonically
@@ -1624,9 +1278,9 @@ mod tests {
         );
         // and the survivors cover a sensible share of true target frames
         assert!(
-            r.survivors.len() as f64 > 0.4 * targets as f64,
+            survivors.len() as f64 > 0.4 * targets as f64,
             "{} survivors vs {} target frames",
-            r.survivors.len(),
+            survivors.len(),
             targets
         );
         // telemetry frame counters mirror the stage handles exactly
@@ -1649,7 +1303,7 @@ mod tests {
         }
         assert_eq!(
             snap.counter("stream0.reference.frames_out"),
-            r.survivors.len() as u64
+            survivors.len() as u64
         );
         // every frame was disposed with an end-to-end latency sample
         assert_eq!(snap.histograms["latency.e2e_us"].count, 900);
@@ -1725,15 +1379,17 @@ mod tests {
         let eval = s.clip(400);
         let cfg = FfsVaConfig::default();
         // a ratio no real series can cross: the detector never fires, so
-        // the recalibrating pipeline must match the plain one bit for bit
+        // the engine with drift attached must match the plain one bit for bit
         let drift = DriftConfig {
             window: 100,
             ratio: 1e9,
             cooldown: 0,
             floor: 1e-4,
         };
-        let plain = run_pipeline_rt(eval.clone(), bank_a, &cfg);
-        let recal = run_pipeline_rt_recal(eval, bank_b, &cfg, drift);
+        let plain = RtEngine::new(cfg, vec![(eval.clone(), bank_a)]).run();
+        let recal = RtEngine::new(cfg, vec![(eval, bank_b)])
+            .with_drift(drift)
+            .run();
         assert_eq!(plain.survivors, recal.survivors);
         assert_eq!(plain.stage_processed, recal.stage_processed);
         assert_eq!(recal.telemetry.counter("drift.detections"), 0);
@@ -1749,9 +1405,9 @@ mod tests {
         let train = s.clip(1200);
         let bank = FilterBank::build(&train, ObjectClass::Car, &quick_bank_opts(), &mut rng);
         let eval = s.clip(400);
-        let r = run_pipeline_rt(eval, bank, &FfsVaConfig::default());
+        let r = run_multi_pipeline_rt(vec![(eval, bank)], &FfsVaConfig::default());
         // FIFO stages + FIFO queues => survivors arrive in seq order
-        for w in r.survivors.windows(2) {
+        for w in r.survivors[0].windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
     }

@@ -351,6 +351,7 @@ struct Request {
     body: Vec<u8>,
 }
 
+#[derive(Debug)]
 enum HttpError {
     /// Protocol violation — answer 400 and close.
     Malformed(&'static str),

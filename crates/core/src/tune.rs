@@ -14,13 +14,13 @@
 //!
 //! The second half closes the loop online: a windowed [`DriftDetector`]
 //! watches SDD distances for illumination regime shifts (day → night), and
-//! [`crate::rt_engine::run_pipeline_rt_recal`] re-derives the SDD reference
-//! and SNM threshold live when it fires. [`drift_ablation`] measures the
-//! accuracy effect of recalibration on a drifting clip.
+//! [`RtEngine::with_drift`] re-derives the SDD reference and SNM threshold
+//! live when it fires. [`drift_ablation`] measures the accuracy effect of
+//! recalibration on a drifting clip.
 
 use crate::accuracy::evaluate_relaxed;
 use crate::config::{FfsVaConfig, Precision, StreamThresholds};
-use crate::rt_engine::{run_pipeline_rt, run_pipeline_rt_recal, SurvivingFrame};
+use crate::rt_engine::{RtEngine, SurvivingFrame};
 use crate::sim::{Engine, Mode, StreamInput};
 use ffsva_models::bank::FilterBank;
 use ffsva_models::{CostSpec, FrameTrace, ReferenceModel};
@@ -462,9 +462,9 @@ pub struct DriftConfig {
     /// Observations ignored after a detection, letting the recalibrated
     /// pipeline settle before the detector re-arms.
     pub cooldown: usize,
-    /// Floor applied to the baseline before the ratio test, so near-zero
-    /// baselines (a perfectly clean background) don't turn sensor noise
-    /// into detections.
+    /// Floor applied to the baseline and the window mean before the ratio
+    /// test, so near-zero levels (a perfectly clean background) don't turn
+    /// sensor noise into detections.
     pub floor: f64,
 }
 
@@ -536,8 +536,11 @@ impl DriftDetector {
                 false
             }
             Some(base) => {
+                // both sides of the ratio test are floored: two levels under
+                // the floor are the same level, whatever their ratio
                 let anchor = base.max(self.cfg.floor);
-                if mean > anchor * self.cfg.ratio || mean < anchor / self.cfg.ratio {
+                let level = mean.max(self.cfg.floor);
+                if level > anchor * self.cfg.ratio || level < anchor / self.cfg.ratio {
                     self.baseline = Some(mean);
                     self.cooldown_left = self.cfg.cooldown;
                     self.detections += 1;
@@ -619,10 +622,9 @@ pub struct DriftAblationReport {
     pub snm_retunes: u64,
     pub static_survivors: usize,
     pub recal_survivors: usize,
-    /// Scene miss rate of the static pipeline ([`run_pipeline_rt`]).
+    /// Scene miss rate of the static pipeline.
     pub static_miss_rate: f64,
-    /// Scene miss rate with online recalibration
-    /// ([`run_pipeline_rt_recal`]).
+    /// Scene miss rate with online recalibration ([`RtEngine::with_drift`]).
     pub recal_miss_rate: f64,
 }
 
@@ -640,25 +642,27 @@ pub fn drift_ablation(
     assert_eq!(bank_static.target, bank_recal.target, "twin banks required");
     let target = bank_static.target;
     let reference = bank_static.reference.clone();
-    let st = run_pipeline_rt(clip.to_vec(), bank_static, cfg);
-    let rc = run_pipeline_rt_recal(clip.to_vec(), bank_recal, cfg, drift);
+    let st = RtEngine::new(*cfg, vec![(clip.to_vec(), bank_static)]).run();
+    let rc = RtEngine::new(*cfg, vec![(clip.to_vec(), bank_recal)])
+        .with_drift(drift)
+        .run();
     DriftAblationReport {
         frames: clip.len(),
         detections: rc.telemetry.counter("drift.detections"),
         sdd_rebuilds: rc.telemetry.counter("drift.sdd_rebuilds"),
         snm_retunes: rc.telemetry.counter("drift.snm_retunes"),
-        static_survivors: st.survivors.len(),
-        recal_survivors: rc.survivors.len(),
+        static_survivors: st.survivors[0].len(),
+        recal_survivors: rc.survivors[0].len(),
         static_miss_rate: scene_miss_from_survivors(
             clip,
-            &st.survivors,
+            &st.survivors[0],
             &reference,
             target,
             cfg.number_of_objects,
         ),
         recal_miss_rate: scene_miss_from_survivors(
             clip,
-            &rc.survivors,
+            &rc.survivors[0],
             &reference,
             target,
             cfg.number_of_objects,

@@ -63,12 +63,11 @@ pub use ffsva_telemetry::{
     TelemetrySnapshot,
 };
 pub use ingest::{GateEvent, IngestCore, IngestGate, IngestOutput, IngestStats};
-pub use pool::{spawn_stage_pool, PoolPolicy, PoolSlot, PoolStreamOutcome, StagePool};
+pub use pool::{spawn_stage_pool, PoolPolicy, PoolSlot, StagePool};
 pub use queue::{FeedbackQueue, QueueStats, SimQueue};
 pub use rt::{
-    spawn_batch_stage, spawn_batch_stage_faulted, spawn_batch_stage_instrumented,
-    spawn_filter_stage, spawn_filter_stage_faulted, spawn_filter_stage_instrumented, StageFailure,
-    StageFaultCtx, StageHandle,
+    spawn_batch_stage, spawn_batch_stage_faulted, spawn_filter_stage, spawn_filter_stage_faulted,
+    StageFailure, StageFaultCtx, StageHandle,
 };
 pub use stats::{LatencyStats, Throughput};
 pub use supervisor::{

@@ -45,6 +45,7 @@ use crate::batch::BatchPolicy;
 use crate::fault::FaultAction;
 use crate::queue::FeedbackQueue;
 use crate::rt::{StageFailure, StageFaultCtx};
+use crate::supervisor::StageOutcome;
 use ffsva_telemetry::{PoolTelemetry, StageTelemetry, SupervisorTelemetry};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,35 +108,6 @@ pub struct PoolSlot<I, O, C> {
     pub work: Box<dyn FnMut(Vec<I>, &mut C) -> Vec<O> + Send>,
 }
 
-/// Terminal per-stream outcome of a pool run, in slot order — the pooled
-/// equivalent of [`StageOutcome`](crate::supervisor::StageOutcome).
-#[derive(Debug)]
-pub struct PoolStreamOutcome {
-    pub stream: usize,
-    /// Frames processed across every incarnation of the slot.
-    pub processed: u64,
-    /// Restarts attempted before completing or giving up.
-    pub restarts: u32,
-    /// The restart budget was exhausted and the stream quarantined.
-    pub gave_up: bool,
-    /// The failure that exhausted the budget, if any.
-    pub failure: Option<StageFailure>,
-}
-
-impl PoolStreamOutcome {
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    pub fn restarts(&self) -> u32 {
-        self.restarts
-    }
-
-    pub fn gave_up(&self) -> bool {
-        self.gave_up
-    }
-}
-
 /// Execution mode of a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -158,7 +130,8 @@ struct SlotState<I, O, C> {
     mode: Mode,
     processed: u64,
     restarts: u32,
-    gave_up: bool,
+    /// The failure that exhausted the restart budget: set exactly when the
+    /// slot gave up.
     failure: Option<StageFailure>,
     /// A failed slot may not run again before this instant (the pool's
     /// non-blocking equivalent of the supervisor's backoff sleep).
@@ -179,7 +152,8 @@ struct PoolShared<I, O, C> {
 }
 
 /// Handle to a running stage pool. [`StagePool::join`] blocks until every
-/// slot is done and returns the per-stream outcomes in slot order.
+/// slot is done and returns the per-stream outcomes in slot order — the same
+/// [`StageOutcome`] a threaded supervisor reports.
 pub struct StagePool<I, O, C> {
     shared: Arc<PoolShared<I, O, C>>,
     workers: Vec<JoinHandle<()>>,
@@ -220,7 +194,6 @@ where
                 mode: Mode::Running,
                 processed: 0,
                 restarts: 0,
-                gave_up: false,
                 failure: None,
                 backoff_until: None,
             })
@@ -258,7 +231,7 @@ impl<I, O, C> StagePool<I, O, C> {
     /// Wait for every slot to finish (clean or drained-after-give-up) and
     /// return the per-stream outcomes in slot order. Also publishes the
     /// pool's final `worker_busy_pct` gauge.
-    pub fn join(self) -> Vec<PoolStreamOutcome> {
+    pub fn join(self) -> Vec<StageOutcome> {
         for h in self.workers {
             h.join().expect("pool worker thread");
         }
@@ -273,12 +246,17 @@ impl<I, O, C> StagePool<I, O, C> {
             .iter()
             .map(|m| {
                 let st = m.lock();
-                PoolStreamOutcome {
-                    stream: st.slot.stream,
-                    processed: st.processed,
-                    restarts: st.restarts,
-                    gave_up: st.gave_up,
-                    failure: st.failure.clone(),
+                let (processed, restarts) = (st.processed, st.restarts);
+                match st.failure.clone() {
+                    Some(failure) => StageOutcome::GaveUp {
+                        failure,
+                        processed,
+                        restarts,
+                    },
+                    None => StageOutcome::Completed {
+                        processed,
+                        restarts,
+                    },
                 }
             })
             .collect()
@@ -373,7 +351,6 @@ fn fail<I, O, C>(shared: &PoolShared<I, O, C>, st: &mut SlotState<I, O, C>, mess
     let policy = shared.policy;
     if st.restarts >= policy.restart_budget {
         st.slot.sup_tel.give_ups.inc();
-        st.gave_up = true;
         st.failure = Some(StageFailure {
             stage: format!("{}-{}", shared.name, st.slot.stream),
             message,
@@ -716,10 +693,9 @@ mod tests {
             }
             let outcomes = pool.join();
             assert_eq!(outcomes.len(), n_streams);
-            for (s, o) in outcomes.iter().enumerate() {
-                assert_eq!(o.stream, s);
-                assert_eq!(o.processed, 200);
-                assert!(!o.gave_up);
+            for o in &outcomes {
+                assert_eq!(o.processed(), 200);
+                assert!(!o.gave_up());
             }
             for out in &outputs {
                 let got = out.try_pop_up_to(usize::MAX);
@@ -764,7 +740,7 @@ mod tests {
         }
         input.close();
         let outcomes = pool.join();
-        assert_eq!(outcomes[0].processed, 50);
+        assert_eq!(outcomes[0].processed(), 50);
         assert_eq!(
             output.try_pop_up_to(usize::MAX),
             (0..50).collect::<Vec<_>>()
@@ -838,17 +814,17 @@ mod tests {
         let outcomes = pool.join();
         // healthy siblings untouched
         for s in [0usize, 2] {
-            assert!(!outcomes[s].gave_up, "stream {} must stay healthy", s);
-            assert_eq!(outcomes[s].processed, 30);
+            assert!(!outcomes[s].gave_up(), "stream {} must stay healthy", s);
+            assert_eq!(outcomes[s].processed(), 30);
             assert_eq!(
                 outputs[s].try_pop_up_to(usize::MAX),
                 (0..30).collect::<Vec<_>>()
             );
         }
         // the faulted stream exhausted its budget and quarantined its tail
-        assert!(outcomes[1].gave_up);
-        assert_eq!(outcomes[1].restarts, 2);
-        let failure = outcomes[1].failure.as_ref().expect("carries the failure");
+        assert!(outcomes[1].gave_up());
+        assert_eq!(outcomes[1].restarts(), 2);
+        let failure = outcomes[1].failure().expect("carries the failure");
         assert!(failure.message.contains(crate::fault::INJECTED_PANIC));
         assert_eq!(
             outputs[1].try_pop_up_to(usize::MAX),
@@ -908,8 +884,8 @@ mod tests {
         }
         input.close();
         let outcomes = pool.join();
-        assert!(!outcomes[0].gave_up);
-        assert_eq!(outcomes[0].restarts, 1);
+        assert!(!outcomes[0].gave_up());
+        assert_eq!(outcomes[0].restarts(), 1);
         // frame 3 died with the panic; everything else flowed through
         assert_eq!(output.try_pop_up_to(usize::MAX), vec![0, 1, 2, 4, 5, 6, 7]);
         let snap = tel.snapshot();
@@ -949,7 +925,7 @@ mod tests {
             q.close();
         }
         let outcomes = pool.join();
-        assert!(outcomes.iter().all(|o| o.processed == 64));
+        assert!(outcomes.iter().all(|o| o.processed() == 64));
         let snap = tel.snapshot();
         // 4 streams on 3 workers: stealing is possible but not guaranteed;
         // busy percentage must land in range either way.

@@ -59,33 +59,70 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Handle to a spawned stage thread.
-pub struct StageHandle {
-    pub name: String,
+/// The cells a worker body keeps current for its [`StageHandle`].
+#[derive(Clone, Default)]
+struct Meters {
     processed: Arc<AtomicU64>,
     busy_ns: Arc<AtomicU64>,
     progress: Arc<AtomicU64>,
+}
+
+/// Handle to a spawned stage thread.
+pub struct StageHandle {
+    pub name: String,
+    meters: Meters,
     failure: Arc<Mutex<Option<String>>>,
     join: JoinHandle<()>,
+}
+
+/// Run `body` as the stage thread `name`, inside `catch_unwind`. A clean
+/// return closes `primary` so downstream drains and stops; a panic is kept
+/// for [`StageHandle::join`] and leaves `primary` open, so a supervisor can
+/// re-attach a replacement.
+fn spawn_worker<O, B>(name: String, primary: FeedbackQueue<O>, body: B) -> StageHandle
+where
+    O: Send + 'static,
+    B: FnOnce(&str, &Meters) + Send + 'static,
+{
+    let meters = Meters::default();
+    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+    let (m2, f2, sname) = (meters.clone(), Arc::clone(&failure), name.clone());
+    let join = thread::Builder::new()
+        .name(name.clone())
+        .spawn(
+            move || match catch_unwind(AssertUnwindSafe(|| body(&sname, &m2))) {
+                Ok(()) => primary.close(),
+                Err(payload) => {
+                    *f2.lock().unwrap_or_else(|e| e.into_inner()) = Some(panic_message(payload));
+                }
+            },
+        )
+        .expect("spawn stage thread");
+    StageHandle {
+        name,
+        meters,
+        failure,
+        join,
+    }
 }
 
 impl StageHandle {
     /// Frames processed so far.
     pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
+        self.meters.processed.load(Ordering::Relaxed)
     }
 
     /// Wall time the stage has spent *inside its filter function* (compute,
     /// as opposed to waiting on queues), in seconds.
     pub fn busy_seconds(&self) -> f64 {
-        self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9
+        self.meters.busy_ns.load(Ordering::Relaxed) as f64 / 1e9
     }
 
     /// The stage's progress heartbeat: bumped once per frame the worker
     /// finishes. A watchdog polls this cell to detect stalls (no progress
     /// within a deadline while input is queued).
     pub fn progress_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.progress)
+        Arc::clone(&self.meters.progress)
     }
 
     /// Wait for the stage to finish. `Ok(frames processed)` on a clean exit
@@ -100,8 +137,8 @@ impl StageHandle {
         // The worker catches its own unwinds, so this join only fails if the
         // catch itself was bypassed (e.g. panic=abort would never get here).
         let joined = self.join.join();
-        let n = self.processed.load(Ordering::Relaxed);
-        let busy = self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
+        let n = self.meters.processed.load(Ordering::Relaxed);
+        let busy = self.meters.busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
         let stored = self
             .failure
             .lock()
@@ -137,7 +174,7 @@ pub struct StageFaultCtx<I, O> {
 }
 
 impl<I, O> StageFaultCtx<I, O> {
-    /// A context that never fires — used by the plain instrumented spawns.
+    /// A context that never fires — used by the plain spawns.
     pub fn noop() -> Self {
         StageFaultCtx {
             inj: FaultInjector::noop(),
@@ -169,28 +206,19 @@ where
     O: Send + 'static,
     F: FnMut(I) -> Option<O> + Send + 'static,
 {
-    spawn_filter_stage_instrumented(name, input, output, StageTelemetry::noop(), f)
+    spawn_filter_stage_faulted(
+        name,
+        input,
+        output,
+        StageTelemetry::noop(),
+        StageFaultCtx::noop(),
+        f,
+    )
 }
 
-/// [`spawn_filter_stage`] with per-stage frame accounting: every popped item
-/// counts as `frames_in`, a `Some` result as `frames_out`, a `None` as
-/// `frames_dropped`.
-pub fn spawn_filter_stage_instrumented<I, O, F>(
-    name: impl Into<String>,
-    input: FeedbackQueue<I>,
-    output: FeedbackQueue<O>,
-    tel: StageTelemetry,
-    f: F,
-) -> StageHandle
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(I) -> Option<O> + Send + 'static,
-{
-    spawn_filter_stage_faulted(name, input, output, tel, StageFaultCtx::noop(), f)
-}
-
-/// [`spawn_filter_stage_instrumented`] plus deterministic fault injection.
+/// [`spawn_filter_stage`] with per-stage frame accounting — every popped
+/// item counts as `frames_in`, a `Some` result as `frames_out`, a `None` as
+/// `frames_dropped` — plus deterministic fault injection.
 ///
 /// Per popped frame the injector decides: `Proceed` (normal), `Stall(us)`
 /// (sleep, then process normally — the heartbeat freezes, which the watchdog
@@ -212,72 +240,41 @@ where
     O: Send + 'static,
     F: FnMut(I) -> Option<O> + Send + 'static,
 {
-    let name = name.into();
-    let processed = Arc::new(AtomicU64::new(0));
-    let busy_ns = Arc::new(AtomicU64::new(0));
-    let progress = Arc::new(AtomicU64::new(0));
-    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let p2 = Arc::clone(&processed);
-    let b2 = Arc::clone(&busy_ns);
-    let pr2 = Arc::clone(&progress);
-    let f2 = Arc::clone(&failure);
-    let tname = name.clone();
-    let sname = name.clone();
-    let join = thread::Builder::new()
-        .name(tname)
-        .spawn(move || {
-            let out2 = output.clone();
-            let body = catch_unwind(AssertUnwindSafe(move || {
-                while let Some(item) = input.pop() {
-                    let seq = (ctx.seq_in)(&item);
-                    match ctx.inj.check(seq) {
-                        FaultAction::Panic => {
-                            tel.frames_quarantined.inc();
-                            (ctx.on_quarantine)(item);
-                            injected_panic(&sname, seq);
-                        }
-                        FaultAction::Stall(us) => thread::sleep(Duration::from_micros(us)),
-                        FaultAction::Proceed => {}
-                    }
-                    p2.fetch_add(1, Ordering::Relaxed);
-                    tel.frames_in.inc();
-                    let t0 = Instant::now();
-                    let result = f(item);
-                    b2.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    match result {
-                        Some(out) => {
-                            if ctx.inj.fail_push((ctx.seq_out)(&out)) {
-                                tel.frames_dropped.inc();
-                                (ctx.on_lost)(out);
-                            } else {
-                                tel.frames_out.inc();
-                                if output.push(out).is_err() {
-                                    break; // downstream closed
-                                }
-                            }
-                        }
-                        None => tel.frames_dropped.inc(),
-                    }
-                    pr2.fetch_add(1, Ordering::Relaxed);
+    spawn_worker(name.into(), output.clone(), move |stage, m| {
+        while let Some(item) = input.pop() {
+            let seq = (ctx.seq_in)(&item);
+            match ctx.inj.check(seq) {
+                FaultAction::Panic => {
+                    tel.frames_quarantined.inc();
+                    (ctx.on_quarantine)(item);
+                    injected_panic(stage, seq);
                 }
-            }));
-            match body {
-                Ok(()) => out2.close(),
-                Err(payload) => {
-                    // leave the output open: a supervisor may re-attach
-                    *f2.lock().unwrap_or_else(|e| e.into_inner()) = Some(panic_message(payload));
-                }
+                FaultAction::Stall(us) => thread::sleep(Duration::from_micros(us)),
+                FaultAction::Proceed => {}
             }
-        })
-        .expect("spawn stage thread");
-    StageHandle {
-        name,
-        processed,
-        busy_ns,
-        progress,
-        failure,
-        join,
-    }
+            m.processed.fetch_add(1, Ordering::Relaxed);
+            tel.frames_in.inc();
+            let t0 = Instant::now();
+            let result = f(item);
+            m.busy_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            match result {
+                Some(out) => {
+                    if ctx.inj.fail_push((ctx.seq_out)(&out)) {
+                        tel.frames_dropped.inc();
+                        (ctx.on_lost)(out);
+                    } else {
+                        tel.frames_out.inc();
+                        if output.push(out).is_err() {
+                            break; // downstream closed
+                        }
+                    }
+                }
+                None => tel.frames_dropped.inc(),
+            }
+            m.progress.fetch_add(1, Ordering::Relaxed);
+        }
+    })
 }
 
 /// Spawn a batching stage: drains its input according to `policy` and hands
@@ -295,40 +292,22 @@ where
     O: Send + 'static,
     F: FnMut(Vec<I>) -> Vec<O> + Send + 'static,
 {
-    spawn_batch_stage_instrumented(name, input, output, policy, StageTelemetry::noop(), f)
-}
-
-/// [`spawn_batch_stage`] with per-stage frame accounting: batch members
-/// count as `frames_in`, forwarded results as `frames_out`, and — since a
-/// batch stage is a filter over its batch — the shortfall as
-/// `frames_dropped`.
-pub fn spawn_batch_stage_instrumented<I, O, F>(
-    name: impl Into<String>,
-    input: FeedbackQueue<I>,
-    output: FeedbackQueue<O>,
-    policy: BatchPolicy,
-    tel: StageTelemetry,
-    f: F,
-) -> StageHandle
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(Vec<I>) -> Vec<O> + Send + 'static,
-{
     spawn_batch_stage_faulted(
         name,
         input,
         vec![output],
         |_| 0,
         policy,
-        tel,
+        StageTelemetry::noop(),
         StageFaultCtx::noop(),
         f,
     )
 }
 
-/// [`spawn_batch_stage_instrumented`] plus fault injection and output
-/// routing.
+/// [`spawn_batch_stage`] with per-stage frame accounting — batch members
+/// count as `frames_in`, forwarded results as `frames_out`, and, since a
+/// batch stage is a filter over its batch, the shortfall as
+/// `frames_dropped` — plus fault injection and output routing.
 ///
 /// `route` picks, per forwarded item, which queue in `outputs` receives it —
 /// this is how the `Bypass` degradation policy diverts SNM-positive frames
@@ -360,133 +339,103 @@ where
     R: FnMut(&O) -> usize + Send + 'static,
 {
     assert!(!outputs.is_empty(), "batch stage needs at least one output");
-    let name = name.into();
-    let processed = Arc::new(AtomicU64::new(0));
-    let busy_ns = Arc::new(AtomicU64::new(0));
-    let progress = Arc::new(AtomicU64::new(0));
-    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let p2 = Arc::clone(&processed);
-    let b2 = Arc::clone(&busy_ns);
-    let pr2 = Arc::clone(&progress);
-    let f2 = Arc::clone(&failure);
     let capacity = input.capacity();
-    let tname = name.clone();
-    let sname = name.clone();
-    let join = thread::Builder::new()
-        .name(tname)
-        .spawn(move || {
-            let primary = outputs[0].clone();
-            let body = catch_unwind(AssertUnwindSafe(move || {
-                let mut buf: Vec<I> = Vec::new();
-                let mut closed = false;
-                'run: loop {
-                    // Decide how many items this batch needs.
-                    let want = loop {
-                        if closed {
-                            break buf.len(); // flush whatever remains
-                        }
-                        if let Some(take) = policy.take(buf.len(), capacity) {
-                            break take;
-                        }
-                        // Need more items: wait briefly for one.
-                        match input.pop_timeout(Duration::from_millis(2)) {
-                            Ok(Some(it)) => buf.push(it),
-                            Ok(None) => closed = true,
-                            Err(()) => {
-                                // Timed out. Dynamic policy never reaches here
-                                // with a non-empty buffer; static/feedback keep
-                                // waiting for a full batch.
-                            }
-                        }
-                    };
-                    if want == 0 {
-                        if closed {
-                            break 'run;
-                        }
-                        continue;
-                    }
-                    let mut batch: Vec<I> = buf.drain(..want.min(buf.len())).collect();
-                    if batch.is_empty() {
-                        if closed {
-                            break 'run;
-                        }
-                        continue;
-                    }
-                    // Scan for the first panic fault; stalls fire inline.
-                    let mut panic_idx: Option<(usize, u64)> = None;
-                    for (i, item) in batch.iter().enumerate() {
-                        let seq = (ctx.seq_in)(item);
-                        match ctx.inj.check(seq) {
-                            FaultAction::Panic => {
-                                panic_idx = Some((i, seq));
-                                break;
-                            }
-                            FaultAction::Stall(us) => thread::sleep(Duration::from_micros(us)),
-                            FaultAction::Proceed => {}
-                        }
-                    }
-                    let doomed: Vec<I> = match panic_idx {
-                        Some((i, _)) => batch.split_off(i),
-                        None => Vec::new(),
-                    };
-                    if !batch.is_empty() {
-                        let n_in = batch.len() as u64;
-                        p2.fetch_add(n_in, Ordering::Relaxed);
-                        tel.frames_in.add(n_in);
-                        let t0 = Instant::now();
-                        let outs = f(std::mem::take(&mut batch));
-                        b2.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        let mut forwarded = 0u64;
-                        for out in outs {
-                            if ctx.inj.fail_push((ctx.seq_out)(&out)) {
-                                (ctx.on_lost)(out);
-                            } else {
-                                let dst = route(&out).min(outputs.len() - 1);
-                                if outputs[dst].push(out).is_err() {
-                                    break 'run;
-                                }
-                                forwarded += 1;
-                            }
-                        }
-                        tel.frames_out.add(forwarded);
-                        tel.frames_dropped.add(n_in - forwarded);
-                        pr2.fetch_add(n_in, Ordering::Relaxed);
-                    }
-                    if let Some((_, seq)) = panic_idx {
-                        // Quarantine everything already popped past the fault
-                        // boundary, then die. The input queue itself stays
-                        // intact for the supervisor's give-up drain.
-                        let nq = (doomed.len() + buf.len()) as u64;
-                        tel.frames_quarantined.add(nq);
-                        for it in doomed {
-                            (ctx.on_quarantine)(it);
-                        }
-                        for it in buf.drain(..) {
-                            (ctx.on_quarantine)(it);
-                        }
-                        injected_panic(&sname, seq);
-                    }
-                    if closed && buf.is_empty() {
-                        break 'run;
+    spawn_worker(name.into(), outputs[0].clone(), move |stage, m| {
+        let mut buf: Vec<I> = Vec::new();
+        let mut closed = false;
+        'run: loop {
+            // Decide how many items this batch needs.
+            let want = loop {
+                if closed {
+                    break buf.len(); // flush whatever remains
+                }
+                if let Some(take) = policy.take(buf.len(), capacity) {
+                    break take;
+                }
+                // Need more items: wait briefly for one.
+                match input.pop_timeout(Duration::from_millis(2)) {
+                    Ok(Some(it)) => buf.push(it),
+                    Ok(None) => closed = true,
+                    Err(()) => {
+                        // Timed out. Dynamic policy never reaches here
+                        // with a non-empty buffer; static/feedback keep
+                        // waiting for a full batch.
                     }
                 }
-            }));
-            match body {
-                Ok(()) => primary.close(),
-                Err(payload) => {
-                    *f2.lock().unwrap_or_else(|e| e.into_inner()) = Some(panic_message(payload));
+            };
+            if want == 0 {
+                if closed {
+                    break 'run;
+                }
+                continue;
+            }
+            let mut batch: Vec<I> = buf.drain(..want.min(buf.len())).collect();
+            if batch.is_empty() {
+                if closed {
+                    break 'run;
+                }
+                continue;
+            }
+            // Scan for the first panic fault; stalls fire inline.
+            let mut panic_idx: Option<(usize, u64)> = None;
+            for (i, item) in batch.iter().enumerate() {
+                let seq = (ctx.seq_in)(item);
+                match ctx.inj.check(seq) {
+                    FaultAction::Panic => {
+                        panic_idx = Some((i, seq));
+                        break;
+                    }
+                    FaultAction::Stall(us) => thread::sleep(Duration::from_micros(us)),
+                    FaultAction::Proceed => {}
                 }
             }
-        })
-        .expect("spawn batch stage thread");
-    StageHandle {
-        name,
-        processed,
-        busy_ns,
-        progress,
-        failure,
-        join,
-    }
+            let doomed: Vec<I> = match panic_idx {
+                Some((i, _)) => batch.split_off(i),
+                None => Vec::new(),
+            };
+            if !batch.is_empty() {
+                let n_in = batch.len() as u64;
+                m.processed.fetch_add(n_in, Ordering::Relaxed);
+                tel.frames_in.add(n_in);
+                let t0 = Instant::now();
+                let outs = f(std::mem::take(&mut batch));
+                m.busy_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let mut forwarded = 0u64;
+                for out in outs {
+                    if ctx.inj.fail_push((ctx.seq_out)(&out)) {
+                        (ctx.on_lost)(out);
+                    } else {
+                        let dst = route(&out).min(outputs.len() - 1);
+                        if outputs[dst].push(out).is_err() {
+                            break 'run;
+                        }
+                        forwarded += 1;
+                    }
+                }
+                tel.frames_out.add(forwarded);
+                tel.frames_dropped.add(n_in - forwarded);
+                m.progress.fetch_add(n_in, Ordering::Relaxed);
+            }
+            if let Some((_, seq)) = panic_idx {
+                // Quarantine everything already popped past the fault
+                // boundary, then die. The input queue itself stays
+                // intact for the supervisor's give-up drain.
+                let nq = (doomed.len() + buf.len()) as u64;
+                tel.frames_quarantined.add(nq);
+                for it in doomed {
+                    (ctx.on_quarantine)(it);
+                }
+                for it in buf.drain(..) {
+                    (ctx.on_quarantine)(it);
+                }
+                injected_panic(stage, seq);
+            }
+            if closed && buf.is_empty() {
+                break 'run;
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -518,26 +467,29 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_stages_account_in_out_dropped() {
+    fn stages_account_in_out_dropped() {
         use ffsva_telemetry::Telemetry;
 
         let tel = Telemetry::new();
         let input = FeedbackQueue::new(16);
         let mid = FeedbackQueue::new(16);
         let output = FeedbackQueue::new(64);
-        let h1 = spawn_filter_stage_instrumented(
+        let h1 = spawn_filter_stage_faulted(
             "evens",
             input.clone(),
             mid.clone(),
             StageTelemetry::register(&tel, "stream0.sdd"),
+            StageFaultCtx::noop(),
             |x: i32| if x % 2 == 0 { Some(x) } else { None },
         );
-        let h2 = spawn_batch_stage_instrumented(
+        let h2 = spawn_batch_stage_faulted(
             "gt4",
             mid,
-            output.clone(),
+            vec![output.clone()],
+            |_| 0,
             BatchPolicy::Dynamic { size: 4 },
             StageTelemetry::register(&tel, "stream0.snm"),
+            StageFaultCtx::noop(),
             |batch: Vec<i32>| batch.into_iter().filter(|&x| x > 4).collect(),
         );
         for i in 0..10 {

@@ -46,7 +46,8 @@ fn main() {
         &mut rng,
     );
     let traces = bank_for_traces.trace_clip(&clip);
-    let result = run_pipeline_rt(clip, bank, &sys);
+    let result = run_multi_pipeline_rt(vec![(clip, bank)], &sys);
+    let alarms = &result.survivors[0];
 
     println!(
         "\npipeline processed {} frames in {:.2}s ({:.0} FPS wall)",
@@ -59,8 +60,8 @@ fn main() {
         result.stage_processed[2],
         result.stage_processed[3]
     );
-    println!("congestion alarms raised: {}", result.survivors.len());
-    if let Some(first) = result.survivors.first() {
+    println!("congestion alarms raised: {}", alarms.len());
+    if let Some(first) = alarms.first() {
         println!(
             "first alarm at frame {} (t = {:.1}s), {} cars confirmed by the reference model",
             first.seq,

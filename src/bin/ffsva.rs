@@ -1451,7 +1451,7 @@ fn cmd_bench(args: &mut Args) -> Result<(), String> {
     // reports isolates exactly what quantization costs the cascade.
     let traces_int8 = bank.trace_clip_int8(&clip);
 
-    // Kernel + stage series come before the engine legs: `run_pipeline_rt`
+    // Kernel + stage series come before the engine legs: the RT engine
     // consumes the bank, so probe a clone of the trained SNM here.
     let kernel = bench_kernels();
     let mut probe_snm = bank.snm.clone();
@@ -1548,7 +1548,7 @@ fn cmd_bench(args: &mut Args) -> Result<(), String> {
     println!("DES engine ({} stream(s), virtual time):", streams);
     println!("{}", digest_table(&des_digest));
 
-    let rt = run_pipeline_rt(clip, bank, &sys);
+    let rt = run_multi_pipeline_rt(vec![(clip, bank)], &sys);
     let rt_digest = PipelineDigest::from_snapshot(&rt.telemetry, rt.wall_time_s * 1e6);
     println!("RT engine (1 stream, wall time):");
     println!("{}", digest_table(&rt_digest));

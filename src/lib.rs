@@ -56,10 +56,9 @@ pub use ffsva_video as video;
 pub mod prelude {
     pub use ffsva_core::{
         evaluate_accuracy, prepare_stream, prepare_stream_cached, run_baseline,
-        run_multi_pipeline_rt, run_multi_pipeline_rt_faulted, run_multi_pipeline_rt_robust,
-        run_pipeline_rt, tile_inputs, CheckpointSpec, Cluster, ClusterConfig, ClusterReport,
+        run_multi_pipeline_rt, tile_inputs, CheckpointSpec, Cluster, ClusterConfig, ClusterReport,
         Engine, FfsVaConfig, Mode, MultiRtResult, Precision, PrepareOptions, PreparedStream,
-        RtResult, SimResult, StreamCheckpoint, StreamHealth, StreamInput, StreamOutcome,
+        RtEngine, SimResult, StreamCheckpoint, StreamHealth, StreamInput, StreamOutcome,
         StreamThresholds, SurvivingFrame,
     };
     pub use ffsva_models::bank::{BankOptions, FilterBank, FrameTrace};

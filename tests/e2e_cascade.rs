@@ -106,8 +106,8 @@ fn des_and_rt_engines_agree_on_survivor_set() {
         .collect();
 
     // Threaded engine on the *same* bank (moved in), over the same clip.
-    let rt = run_pipeline_rt(clip, bank, &sys);
-    let rt_survivors: Vec<u64> = rt.survivors.iter().map(|s| s.seq).collect();
+    let rt = run_multi_pipeline_rt(vec![(clip, bank)], &sys);
+    let rt_survivors: Vec<u64> = rt.survivors[0].iter().map(|s| s.seq).collect();
 
     assert_eq!(sim.total_frames, rt.total_frames);
     assert!(
@@ -158,7 +158,7 @@ fn des_and_rt_engines_emit_conformant_telemetry() {
         }],
     )
     .run();
-    let rt = run_pipeline_rt(clip, bank, &sys);
+    let rt = run_multi_pipeline_rt(vec![(clip, bank)], &sys);
 
     // Same metric namespace from both engines.
     let des_names = sim.telemetry.conformant_names();
@@ -186,7 +186,7 @@ fn des_and_rt_engines_emit_conformant_telemetry() {
     assert_eq!(sim.telemetry.counter("pipeline.frames_in"), 400);
     assert_eq!(
         sim.telemetry.stage_total("reference", "frames_out"),
-        rt.survivors.len() as u64
+        rt.survivors[0].len() as u64
     );
 
     // Both latency histograms exist and saw every disposed frame.
@@ -247,7 +247,7 @@ fn des_and_rt_engines_agree_on_faulted_frame_accounting() {
     let des = Engine::new(sys, Mode::Offline, inputs)
         .with_fault_plan(&plan)
         .run();
-    let rt = run_multi_pipeline_rt_faulted(rt_streams, &sys, &plan);
+    let rt = RtEngine::new(sys, rt_streams).with_fault_plan(&plan).run();
 
     // identical namespaces, identical frame accounting — quarantine included
     assert_eq!(

@@ -8,9 +8,9 @@ use ffs_va::core::instance::{
 use ffs_va::core::{Engine, FfsVaConfig, Mode, StreamInput, StreamThresholds};
 use ffs_va::models::snm::SnmTrainOptions;
 use ffs_va::prelude::{
-    run_multi_pipeline_rt, run_multi_pipeline_rt_faulted, BankOptions, BatchPolicy, DegradePolicy,
-    FaultPlan, FaultStage, FilterBank, FrameTrace, LabeledFrame, ObjectClass, SourceFault,
-    SourceFaultPlan, StageFault, VideoStream,
+    run_multi_pipeline_rt, BankOptions, BatchPolicy, DegradePolicy, FaultPlan, FaultStage,
+    FilterBank, FrameTrace, LabeledFrame, ObjectClass, RtEngine, SourceFault, SourceFaultPlan,
+    StageFault, VideoStream,
 };
 use ffs_va::sched::{spawn_batch_stage, spawn_filter_stage, FeedbackQueue};
 use ffs_va::video::workloads;
@@ -276,7 +276,9 @@ fn snm_panic_quarantines_stream_and_isolates_siblings() {
     assert!(clean.stream_health.iter().all(|h| h.healthy()));
 
     let plan = FaultPlan::new().with(1, FaultStage::Snm, StageFault::PanicAtFrame(50));
-    let faulted = run_multi_pipeline_rt_faulted(two_rt_streams(), &cfg, &plan);
+    let faulted = RtEngine::new(cfg, two_rt_streams())
+        .with_fault_plan(&plan)
+        .run();
 
     // the faulted stream is quarantined, after burning its restart budget
     assert!(
@@ -343,22 +345,24 @@ fn watchdog_shed_oldest_bounds_e2e_latency_under_stall() {
         ..FfsVaConfig::default()
     };
 
-    let blocked = run_multi_pipeline_rt_faulted(
-        two_rt_streams(),
-        &FfsVaConfig {
+    let blocked = RtEngine::new(
+        FfsVaConfig {
             degrade_policy: DegradePolicy::Block,
             ..base
         },
-        &plan,
-    );
-    let shed = run_multi_pipeline_rt_faulted(
         two_rt_streams(),
-        &FfsVaConfig {
+    )
+    .with_fault_plan(&plan)
+    .run();
+    let shed = RtEngine::new(
+        FfsVaConfig {
             degrade_policy: DegradePolicy::ShedOldest { max_lag_ms: 500 },
             ..base
         },
-        &plan,
-    );
+        two_rt_streams(),
+    )
+    .with_fault_plan(&plan)
+    .run();
 
     let p99 = |r: &ffs_va::prelude::MultiRtResult| {
         r.telemetry.histograms["latency.e2e_us"].quantile(0.99)

@@ -8,8 +8,8 @@ use ffs_va::models::sdd::SddFilter;
 use ffs_va::models::snm::{SnmModel, SnmReport, SnmTrainOptions};
 use ffs_va::models::tyolo::TinyYolo;
 use ffs_va::prelude::{
-    run_multi_pipeline_rt, run_multi_pipeline_rt_robust, BankOptions, FaultPlan, FfsVaConfig,
-    FilterBank, LabeledFrame, ObjectClass, SourceFault, SourceFaultPlan, VideoStream,
+    run_multi_pipeline_rt, BankOptions, FaultPlan, FfsVaConfig, FilterBank, LabeledFrame,
+    ObjectClass, RtEngine, SourceFault, SourceFaultPlan, VideoStream,
 };
 use ffs_va::video::workloads;
 use proptest::prelude::*;
@@ -133,7 +133,9 @@ fn disconnect_reconnects_and_isolates_siblings_rt() {
             dur_ms: 500,
         },
     );
-    let r = run_multi_pipeline_rt_robust(rt_streams(), &cfg, &FaultPlan::default(), &plan, None);
+    let r = RtEngine::new(cfg, rt_streams())
+        .with_source_plan(&plan)
+        .run();
 
     let t = &r.telemetry;
     assert!(t.counter("src.reconnects") >= 1, "never reconnected");
@@ -163,7 +165,9 @@ fn reconnect_budget_exhaustion_degrades_to_source_lost_rt() {
             dur_ms: 60_000,
         },
     );
-    let r = run_multi_pipeline_rt_robust(rt_streams(), &cfg, &FaultPlan::default(), &plan, None);
+    let r = RtEngine::new(cfg, rt_streams())
+        .with_source_plan(&plan)
+        .run();
 
     assert!(r.stream_health[0].healthy(), "sibling was degraded");
     assert!(r.stream_health[1].source_lost);
@@ -203,13 +207,11 @@ fn kill_and_resume_matches_uninterrupted_run_rt() {
         );
 
     let dir_a = tmp_dir("uninterrupted");
-    let full = run_multi_pipeline_rt_robust(
-        rt_streams(),
-        &cfg,
-        &faults,
-        &plan,
-        Some(&CheckpointSpec::new(&dir_a, 256, false)),
-    );
+    let full = RtEngine::new(cfg, rt_streams())
+        .with_fault_plan(&faults)
+        .with_source_plan(&plan)
+        .with_checkpoint(CheckpointSpec::new(&dir_a, 256, false))
+        .run();
     assert!(full.telemetry.counter("checkpoint.writes") >= 1);
 
     // segment 1: the process dies after 250 frames per stream
@@ -218,21 +220,17 @@ fn kill_and_resume_matches_uninterrupted_run_rt() {
     for (clip, _) in &mut cut {
         clip.truncate(250);
     }
-    let _ = run_multi_pipeline_rt_robust(
-        cut,
-        &cfg,
-        &faults,
-        &plan,
-        Some(&CheckpointSpec::new(&dir_b, 256, false)),
-    );
+    let _ = RtEngine::new(cfg, cut)
+        .with_fault_plan(&faults)
+        .with_source_plan(&plan)
+        .with_checkpoint(CheckpointSpec::new(&dir_b, 256, false))
+        .run();
     // segment 2: resume from the checkpoints with the full clips
-    let resumed = run_multi_pipeline_rt_robust(
-        rt_streams(),
-        &cfg,
-        &faults,
-        &plan,
-        Some(&CheckpointSpec::new(&dir_b, 256, true)),
-    );
+    let resumed = RtEngine::new(cfg, rt_streams())
+        .with_fault_plan(&faults)
+        .with_source_plan(&plan)
+        .with_checkpoint(CheckpointSpec::new(&dir_b, 256, true))
+        .run();
 
     assert_eq!(resumed.survivors, full.survivors);
     assert_eq!(
@@ -283,7 +281,9 @@ fn des_and_rt_agree_on_ingest_accounting() {
             },
         );
 
-    let rt = run_multi_pipeline_rt_robust(rt_streams(), &cfg, &FaultPlan::default(), &plan, None);
+    let rt = RtEngine::new(cfg, rt_streams())
+        .with_source_plan(&plan)
+        .run();
     let inputs = des_inputs(&cfg);
     let des = Engine::new(cfg, Mode::Offline, inputs)
         .with_source_plan(&plan)
@@ -328,9 +328,7 @@ proptest! {
         prop_assert!(plan.validate().is_ok());
 
         let cfg = FfsVaConfig::default();
-        let rt = run_multi_pipeline_rt_robust(
-            rt_streams(), &cfg, &FaultPlan::default(), &plan, None,
-        );
+        let rt = RtEngine::new(cfg, rt_streams()).with_source_plan(&plan).run();
         let inputs = des_inputs(&cfg);
         let des = Engine::new(cfg, Mode::Offline, inputs)
             .with_source_plan(&plan)

@@ -8,17 +8,16 @@
 //! comma-separated list, e.g. `1,8`); unset, the tests sweep {1, 2, 8} so
 //! one invocation covers fewer-, equal-, and more-workers-than-streams.
 
-use ffs_va::core::{CheckpointSpec, Engine, Mode, StreamInput, StreamThresholds};
+use ffs_va::core::{CheckpointSpec, DriftConfig, Engine, Mode, StreamInput, StreamThresholds};
 use ffs_va::models::reference::ReferenceModel;
 use ffs_va::models::sdd::SddFilter;
 use ffs_va::models::snm::{SnmModel, SnmReport, SnmTrainOptions};
 use ffs_va::models::tyolo::TinyYolo;
 use ffs_va::prelude::{
-    run_multi_pipeline_rt, run_multi_pipeline_rt_faulted, run_multi_pipeline_rt_robust,
-    BankOptions, FaultPlan, FaultStage, FfsVaConfig, FilterBank, LabeledFrame, MultiRtResult,
-    ObjectClass, SourceFaultPlan, StageFault, VideoStream,
+    run_multi_pipeline_rt, BankOptions, FaultPlan, FaultStage, FfsVaConfig, FilterBank,
+    LabeledFrame, MultiRtResult, ObjectClass, RtEngine, SourceFaultPlan, StageFault, VideoStream,
 };
-use ffs_va::video::workloads;
+use ffs_va::video::{workloads, BackgroundKind};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -116,6 +115,32 @@ fn rt_streams() -> Vec<(Vec<LabeledFrame>, FilterBank)> {
         .collect()
 }
 
+/// [`rt_streams`] plus one stream that needs online recalibration: stream
+/// 0's bank, trained under static illumination, watching the twin scene
+/// whose light descends to the cycle trough at the end of the clip.
+fn drifting_streams() -> Vec<(Vec<LabeledFrame>, FilterBank)> {
+    static NIGHT: OnceLock<Vec<LabeledFrame>> = OnceLock::new();
+    let night = NIGHT.get_or_init(|| {
+        let mut vcfg = workloads::test_tiny(ObjectClass::Car, 0.3, 41);
+        vcfg.background = BackgroundKind::Dynamic {
+            period_frames: 2 * FRAMES,
+            amplitude: 0.8,
+            drift_sigma: 0.0,
+        };
+        VideoStream::new(41, vcfg).clip(FRAMES as usize)
+    });
+    let mut streams = rt_streams();
+    streams.push((night.clone(), bank_of(&seeds()[0])));
+    streams
+}
+
+const DRIFT: DriftConfig = DriftConfig {
+    window: 40,
+    ratio: 2.0,
+    cooldown: 80,
+    floor: 1e-4,
+};
+
 /// Decision traces of the SAME clips through the SAME banks, for the DES
 /// side of the conformance contract.
 fn des_inputs(cfg: &FfsVaConfig) -> Vec<StreamInput> {
@@ -157,18 +182,37 @@ fn survivor_seqs(r: &MultiRtResult) -> Vec<Vec<u64>> {
 
 /// Acceptance (tentpole): for every worker count the pooled layout's
 /// survivor sets, frame counters, and public (non-engine-private) series
-/// names are bit-identical to the per-stream-thread layout.
+/// names are bit-identical to the per-stream-thread layout — without drift
+/// recalibration, and with it on a clip that makes it fire.
 #[test]
 fn pooled_survivors_bit_identical_to_per_stream_threads() {
+    pooled_matches_threads(rt_streams, None);
+    pooled_matches_threads(drifting_streams, Some(DRIFT));
+}
+
+fn pooled_matches_threads(
+    streams: fn() -> Vec<(Vec<LabeledFrame>, FilterBank)>,
+    drift: Option<DriftConfig>,
+) {
+    let run = |cfg: FfsVaConfig| {
+        let engine = RtEngine::new(cfg, streams());
+        match drift {
+            Some(d) => engine.with_drift(d).run(),
+            None => engine.run(),
+        }
+    };
     let cfg = FfsVaConfig::default();
-    let legacy = run_multi_pipeline_rt(rt_streams(), &cfg);
+    let legacy = run(cfg);
     assert!(legacy.stream_health.iter().all(|h| h.healthy()));
     assert!(legacy.survivors.iter().any(|s| !s.is_empty()));
+    if drift.is_some() {
+        assert!(legacy.telemetry.counter("drift.detections") >= 1);
+    }
 
     for w in worker_counts() {
         let pooled_cfg = cfg.with_pool_workers(w, w);
         assert!(pooled_cfg.pooled());
-        let pooled = run_multi_pipeline_rt(rt_streams(), &pooled_cfg);
+        let pooled = run(pooled_cfg);
 
         assert_eq!(
             pooled.survivors, legacy.survivors,
@@ -179,6 +223,17 @@ fn pooled_survivors_bit_identical_to_per_stream_threads() {
             legacy.telemetry.frames_counters(),
             "frame counters moved under {w} pool workers"
         );
+        for series in [
+            "drift.detections",
+            "drift.sdd_rebuilds",
+            "drift.snm_retunes",
+        ] {
+            assert_eq!(
+                pooled.telemetry.counter(series),
+                legacy.telemetry.counter(series),
+                "{series} moved under {w} pool workers"
+            );
+        }
         // the execution layout is invisible outside the rt. namespace
         assert_eq!(
             pooled.telemetry.conformant_names(),
@@ -233,7 +288,9 @@ fn pooled_quarantine_isolates_shard_siblings() {
         FaultStage::Snm,
         StageFault::PanicAtFrame(base_seq(1) + 50),
     );
-    let faulted = run_multi_pipeline_rt_faulted(rt_streams(), &cfg, &plan);
+    let faulted = RtEngine::new(cfg, rt_streams())
+        .with_fault_plan(&plan)
+        .run();
 
     assert!(faulted.stream_health[1].quarantined);
     assert_eq!(
@@ -277,15 +334,16 @@ fn pooled_quarantine_isolates_shard_siblings() {
         .all(|f| f.seq < base_seq(1) + 50));
     // quarantine outcomes are layout-independent: the per-stream-thread
     // layout reaches the exact same state under the same plan
-    let legacy = run_multi_pipeline_rt_faulted(
-        rt_streams(),
-        &FfsVaConfig {
+    let legacy = RtEngine::new(
+        FfsVaConfig {
             restart_budget: 1,
             restart_backoff_ms: 1,
             ..FfsVaConfig::default()
         },
-        &plan,
-    );
+        rt_streams(),
+    )
+    .with_fault_plan(&plan)
+    .run();
     assert_eq!(faulted.survivors, legacy.survivors);
     assert_eq!(
         faulted.telemetry.frames_counters(),
@@ -304,13 +362,11 @@ fn pooled_kill_and_resume_matches_uninterrupted_run() {
     let src = SourceFaultPlan::default();
 
     let dir_a = tmp_dir("uninterrupted");
-    let full = run_multi_pipeline_rt_robust(
-        rt_streams(),
-        &cfg,
-        &faults,
-        &src,
-        Some(&CheckpointSpec::new(&dir_a, 256, false)),
-    );
+    let full = RtEngine::new(cfg, rt_streams())
+        .with_fault_plan(&faults)
+        .with_source_plan(&src)
+        .with_checkpoint(CheckpointSpec::new(&dir_a, 256, false))
+        .run();
     assert!(full.telemetry.counter("checkpoint.writes") >= 1);
 
     // segment 1: the process dies after 250 frames per stream
@@ -319,21 +375,17 @@ fn pooled_kill_and_resume_matches_uninterrupted_run() {
     for (clip, _) in &mut cut {
         clip.truncate(250);
     }
-    let _ = run_multi_pipeline_rt_robust(
-        cut,
-        &cfg,
-        &faults,
-        &src,
-        Some(&CheckpointSpec::new(&dir_b, 256, false)),
-    );
+    let _ = RtEngine::new(cfg, cut)
+        .with_fault_plan(&faults)
+        .with_source_plan(&src)
+        .with_checkpoint(CheckpointSpec::new(&dir_b, 256, false))
+        .run();
     // segment 2: resume from the checkpoints with the full clips
-    let resumed = run_multi_pipeline_rt_robust(
-        rt_streams(),
-        &cfg,
-        &faults,
-        &src,
-        Some(&CheckpointSpec::new(&dir_b, 256, true)),
-    );
+    let resumed = RtEngine::new(cfg, rt_streams())
+        .with_fault_plan(&faults)
+        .with_source_plan(&src)
+        .with_checkpoint(CheckpointSpec::new(&dir_b, 256, true))
+        .run();
 
     assert_eq!(resumed.survivors, full.survivors);
     assert_eq!(
@@ -363,13 +415,11 @@ fn migration_across_pool_geometries_is_bit_identical() {
     let src = SourceFaultPlan::default();
 
     let dir_home = tmp_dir("never_moved");
-    let stay = run_multi_pipeline_rt_robust(
-        rt_streams(),
-        &cfg_a,
-        &faults,
-        &src,
-        Some(&CheckpointSpec::new(&dir_home, 256, false)),
-    );
+    let stay = RtEngine::new(cfg_a, rt_streams())
+        .with_fault_plan(&faults)
+        .with_source_plan(&src)
+        .with_checkpoint(CheckpointSpec::new(&dir_home, 256, false))
+        .run();
 
     // instance A runs the first 250 frames and checkpoints
     let dir_move = tmp_dir("migrated");
@@ -377,21 +427,17 @@ fn migration_across_pool_geometries_is_bit_identical() {
     for (clip, _) in &mut cut {
         clip.truncate(250);
     }
-    let _ = run_multi_pipeline_rt_robust(
-        cut,
-        &cfg_a,
-        &faults,
-        &src,
-        Some(&CheckpointSpec::new(&dir_move, 256, false)),
-    );
+    let _ = RtEngine::new(cfg_a, cut)
+        .with_fault_plan(&faults)
+        .with_source_plan(&src)
+        .with_checkpoint(CheckpointSpec::new(&dir_move, 256, false))
+        .run();
     // instance B (different worker count) resumes from A's checkpoint files
-    let moved = run_multi_pipeline_rt_robust(
-        rt_streams(),
-        &cfg_b,
-        &faults,
-        &src,
-        Some(&CheckpointSpec::new(&dir_move, 256, true)),
-    );
+    let moved = RtEngine::new(cfg_b, rt_streams())
+        .with_fault_plan(&faults)
+        .with_source_plan(&src)
+        .with_checkpoint(CheckpointSpec::new(&dir_move, 256, true))
+        .run();
 
     assert_eq!(moved.survivors, stay.survivors);
     assert_eq!(
@@ -436,10 +482,10 @@ proptest! {
             restart_backoff_ms: 1,
             ..FfsVaConfig::default()
         };
-        let pooled = run_multi_pipeline_rt_faulted(
-            rt_streams(), &base.with_pool_workers(workers, workers), &plan,
-        );
-        let legacy = run_multi_pipeline_rt_faulted(rt_streams(), &base, &plan);
+        let pooled = RtEngine::new(base.with_pool_workers(workers, workers), rt_streams())
+            .with_fault_plan(&plan)
+            .run();
+        let legacy = RtEngine::new(base, rt_streams()).with_fault_plan(&plan).run();
 
         let snap = &pooled.telemetry;
         for s in 0..STREAMS {

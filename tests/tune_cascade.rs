@@ -147,16 +147,17 @@ fn tuned_winner_replays_on_the_rt_engine_with_promised_accuracy() {
         "blessed t_pre diverges from SnmModel::t_pre"
     );
     bank.sdd.delta_diff = w.thresholds.delta_diff;
-    let rt = run_pipeline_rt(c.calib.clone(), bank, &cfg);
+    let rt = run_multi_pipeline_rt(vec![(c.calib.clone(), bank)], &cfg);
+    let survivors = &rt.survivors[0];
 
     assert_eq!(
-        rt.survivors.len(),
+        survivors.len(),
         w.forwarded_frames,
         "RT engine forwarded a different frame count than the tuner scored"
     );
     let miss = scene_miss_from_survivors(
         &c.calib,
-        &rt.survivors,
+        survivors,
         &reference,
         c.target,
         opts.number_of_objects,
@@ -175,12 +176,9 @@ fn tuned_winner_replays_on_the_rt_engine_with_promised_accuracy() {
     );
 }
 
-/// Day→night ablation: a bank trained under static illumination watches a
-/// twin scene whose light descends to the cycle trough. The recalibrating
-/// pipeline must notice the regime shift, rebuild its SDD reference, and
-/// end no worse (within slack) than the static pipeline on scene recall.
-#[test]
-fn online_recalibration_survives_day_to_night_drift() {
+/// The drift vehicle: a training clip filmed under static illumination and
+/// 900 frames of the twin scene whose light descends to the cycle trough.
+fn day_to_night() -> (Vec<LabeledFrame>, Vec<LabeledFrame>) {
     let day = workloads::test_tiny(ObjectClass::Car, 0.3, 11);
     let mut night = day.clone();
     night.background = BackgroundKind::Dynamic {
@@ -188,25 +186,34 @@ fn online_recalibration_survives_day_to_night_drift() {
         amplitude: 0.8,
         drift_sigma: 0.0,
     };
-    let mut cam_day = VideoStream::new(0, day);
-    let training = cam_day.clip(1200);
-    // identically-trained twins: each pipeline run consumes its bank
-    let mut rng_a = StdRng::seed_from_u64(BANK_SEED);
-    let mut rng_b = StdRng::seed_from_u64(BANK_SEED);
-    let bank_static =
-        FilterBank::build(&training, ObjectClass::Car, &quick_bank_opts(), &mut rng_a);
-    let bank_recal = FilterBank::build(&training, ObjectClass::Car, &quick_bank_opts(), &mut rng_b);
-    let mut cam_night = VideoStream::new(0, night);
-    let eval = cam_night.clip(900);
+    let training = VideoStream::new(0, day).clip(1200);
+    let eval = VideoStream::new(0, night).clip(900);
+    (training, eval)
+}
 
-    let drift = DriftConfig {
-        window: 60,
-        ratio: 2.0,
-        cooldown: 120,
-        floor: 1e-4,
-    };
+/// A bank trained on the day clip; every call returns a bit-identical twin
+/// (each pipeline run consumes its bank).
+fn day_bank(training: &[LabeledFrame]) -> FilterBank {
+    let mut rng = StdRng::seed_from_u64(BANK_SEED);
+    FilterBank::build(training, ObjectClass::Car, &quick_bank_opts(), &mut rng)
+}
+
+const DRIFT: DriftConfig = DriftConfig {
+    window: 60,
+    ratio: 2.0,
+    cooldown: 120,
+    floor: 1e-4,
+};
+
+/// Day→night ablation: a bank trained under static illumination watches a
+/// twin scene whose light descends to the cycle trough. The recalibrating
+/// pipeline must notice the regime shift, rebuild its SDD reference, and
+/// end no worse (within slack) than the static pipeline on scene recall.
+#[test]
+fn online_recalibration_survives_day_to_night_drift() {
+    let (training, eval) = day_to_night();
     let cfg = FfsVaConfig::default();
-    let ab = drift_ablation(&eval, bank_static, bank_recal, &cfg, drift);
+    let ab = drift_ablation(&eval, day_bank(&training), day_bank(&training), &cfg, DRIFT);
 
     assert_eq!(ab.frames, 900);
     assert!(
@@ -224,4 +231,56 @@ fn online_recalibration_survives_day_to_night_drift() {
         "recalibration lost scenes the static pipeline kept: {:?}",
         ab
     );
+}
+
+/// Recalibration is per stream: of two streams under one `with_drift`, the
+/// static one is untouched — survivors bit-identical to a run without drift,
+/// trained SDD reference in its checkpoint — while the day→night one detects
+/// the shift and its checkpoint carries the rebuilt reference and the
+/// lowered `t_pre` a resumed run must start from.
+#[test]
+fn drift_recalibrates_only_the_drifting_stream_and_reaches_its_checkpoint() {
+    let c = ctx();
+    let (training, night) = day_to_night();
+    let streams = || {
+        vec![
+            (c.calib.clone(), twin_bank()),
+            (night.clone(), day_bank(&training)),
+        ]
+    };
+    let cfg = FfsVaConfig::default();
+    // A floor over anything traffic does to the static stream's window means
+    // (≤ 4e-3) and under where the night descent takes stream 1's (4e-2).
+    let drift = DriftConfig {
+        floor: 5e-3,
+        ..DRIFT
+    };
+    let dir = std::env::temp_dir().join(format!("ffsva_tune_drift_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let plain = run_multi_pipeline_rt(streams(), &cfg);
+    let recal = RtEngine::new(cfg, streams())
+        .with_drift(drift)
+        .with_checkpoint(CheckpointSpec::new(&dir, 256, false))
+        .run();
+
+    assert_eq!(recal.survivors[0], plain.survivors[0]);
+    assert!(recal.telemetry.counter("drift.detections") >= 1);
+    assert!(recal.telemetry.counter("drift.snm_retunes") >= 1);
+
+    let ckpt = |s| {
+        ffs_va::core::load_stream_checkpoint(&dir, s)
+            .expect("readable checkpoint")
+            .expect("checkpoint written")
+    };
+    let (still, drifted) = (ckpt(0), ckpt(1));
+    assert_eq!(still.sdd, Some(twin_bank().sdd), "static stream rebuilt");
+    let trained = day_bank(&training);
+    assert_ne!(drifted.sdd, Some(trained.sdd), "reference not rebuilt");
+    let t_pre = drifted.thresholds.expect("thresholds checkpointed").t_pre;
+    assert!(
+        t_pre < trained.snm.t_pre(cfg.filter_degree),
+        "checkpointed t_pre {t_pre} was not lowered"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,27 +2,37 @@
 //! instances under one controller that admits offered streams through the
 //! telemetry-fed [`AdmissionController`], detects overloaded or dead
 //! instances, and re-forwards their streams by riding the per-stream
-//! checkpoint files.
+//! checkpoints.
 //!
 //! # Execution model
 //!
 //! Time advances in **control epochs** of `epoch_frames` frames per stream:
-//! epoch `e` covers the cluster frame clock `[e·F, (e+1)·F)`. Each epoch,
-//! every live instance runs one DES segment over its resident streams'
-//! next trace window, resuming from — and finishing into — per-stream
-//! checkpoints. Between epochs the controller:
+//! epoch `e` covers the cluster frame clock `[e·F, (e+1)·F)`. Every stream
+//! keeps one **resident** [`StreamCheckpoint`] in memory — cursor,
+//! cumulative counters, survivors. Each epoch, every live instance runs one
+//! DES segment over its resident streams' next trace window, seeded from —
+//! and handing back — those checkpoints in memory, and persists each
+//! stream's new checkpoint once into its `inst<i>/` directory. That file is
+//! the durability, not the hand-off: it is read only to recover a dead
+//! instance's streams, by [`migrate_stream_checkpoint`], and by
+//! [`ClusterSession::restore`]. One [`ClusterSession::step`] is:
 //!
-//! 1. fires [`InstanceFault`]s: `crash@n` kills the instance whose epoch
+//! 1. fire [`InstanceFault`]s: `crash@n` kills the instance whose epoch
 //!    would cover frame `n` (that epoch never runs; only the on-disk
-//!    checkpoints survive it), `slow@n+Dms` inflates every subsequent
-//!    epoch's wall time by `D`;
-//! 2. recovers the dead instance's streams from its checkpoint directory
-//!    and re-forwards them to instances with spare capacity;
-//! 3. sheds the highest-backlog stream off any overloaded instance
-//!    (§4.3.1: "the corresponding video stream is re-forwarded to another
-//!    FFS-VA instance with spare capacity immediately");
-//! 4. re-syncs the admission controller with each instance's *remaining*
-//!    work and its measured per-epoch T-YOLO rate.
+//!    checkpoints survive it — the dead instance's memory is never read
+//!    again), `slow@n+Dms` inflates every subsequent epoch's wall time by
+//!    `D`;
+//! 2. re-sync the admission controller with each instance's *remaining*
+//!    work;
+//! 3. place pending streams — a dead instance's, recovered from its
+//!    checkpoint directory, and earlier sheds — on instances with spare
+//!    capacity;
+//! 4. run the epoch on every live instance and observe it: the measured
+//!    T-YOLO rate feeds admission, the real-time verdict flags overload,
+//!    finished streams retire;
+//! 5. rebalance: shed the highest-backlog stream off any overloaded
+//!    instance (§4.3.1: "the corresponding video stream is re-forwarded to
+//!    another FFS-VA instance with spare capacity immediately").
 //!
 //! # Why migration is bit-identical
 //!
@@ -45,11 +55,11 @@
 
 use crate::checkpoint::{
     load_stream_checkpoint, migrate_stream_checkpoint, renumber_checkpoint,
-    write_stream_checkpoint, CheckpointSpec,
+    write_stream_checkpoint, StreamCheckpoint,
 };
 use crate::config::{FfsVaConfig, StreamThresholds};
 use crate::instance::{balance_instances_from, is_overloaded, AdmissionController, Placement};
-use crate::rt_engine::SurvivingFrame;
+use crate::rt_engine::{elapsed_us, SurvivingFrame};
 use crate::sim::{Engine, Mode, SimResult, StreamInput};
 use ffsva_models::FrameTrace;
 use ffsva_sched::{backoff_delay, ClusterFaultPlan, FaultPlan, StageFault, MAX_BACKOFF};
@@ -213,8 +223,12 @@ impl ClusterReport {
 struct StreamState {
     /// The full trace from frame 0; epochs run windows of it.
     input: StreamInput,
-    /// Frames fully accounted so far (mirrors its checkpoint cursor).
-    cursor: u64,
+    /// The resident checkpoint, keyed by global stream id: cursor,
+    /// cumulative counters and survivors, `source_lost` (a written-off link
+    /// makes the stream terminal with what it produced before the loss).
+    /// Epochs seed the engine from it and take its successor back in
+    /// memory; the file in `ckpt_at`'s directory is its durable copy.
+    ckpt: StreamCheckpoint,
     /// Instance currently hosting it; `None` while quiesced/pending.
     home: Option<usize>,
     /// Instance whose directory holds its checkpoint file.
@@ -227,10 +241,6 @@ struct StreamState {
     rejected: bool,
     /// Dropped at runtime by the operator; its partial work stands.
     removed: bool,
-    /// The source link was written off (`SourceLost`): the stream is
-    /// terminal with whatever survivors it produced before the loss.
-    source_lost: bool,
-    survivors: Vec<SurvivingFrame>,
 }
 
 struct InstanceState {
@@ -271,13 +281,19 @@ pub struct Cluster {
     c_recoveries: Counter,
     c_instances_crashed: Counter,
     c_epochs: Counter,
+    c_ckpt_writes: Counter,
+    c_ckpt_loads: Counter,
     h_reforward_latency: Histogram,
+    h_epoch_wall: Histogram,
+    h_epoch_engine: Histogram,
+    h_epoch_ckpt: Histogram,
 }
 
 impl Cluster {
     pub fn new(sys: FfsVaConfig, cfg: ClusterConfig) -> Self {
         let telemetry = Telemetry::new();
         let c = |n: &str| telemetry.counter(n);
+        let h = |n: &str| telemetry.histogram(n, LATENCY_BOUNDS_US);
         Cluster {
             sys,
             cfg,
@@ -293,8 +309,12 @@ impl Cluster {
             c_recoveries: c("cluster.recoveries"),
             c_instances_crashed: c("cluster.instances_crashed"),
             c_epochs: c("cluster.epochs"),
-            h_reforward_latency: telemetry
-                .histogram("cluster.reforward_latency_us", LATENCY_BOUNDS_US),
+            c_ckpt_writes: c("cluster.ckpt_writes"),
+            c_ckpt_loads: c("cluster.ckpt_loads"),
+            h_reforward_latency: h("cluster.reforward_latency_us"),
+            h_epoch_wall: h("cluster.epoch_wall_us"),
+            h_epoch_engine: h("cluster.epoch_engine_us"),
+            h_epoch_ckpt: h("cluster.epoch_ckpt_us"),
             telemetry,
         }
     }
@@ -389,7 +409,8 @@ pub struct InstanceManifest {
 }
 
 /// One stream's persisted control state (its resolved trace rides along so
-/// a resumed daemon needs no access to the original source).
+/// a resumed daemon needs no access to the original source). `cursor` and
+/// `source_lost` are a readable copy: a restore takes both from the file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamManifest {
     pub traces: Vec<FrameTrace>,
@@ -480,7 +501,7 @@ impl ClusterSession {
         };
         self.streams.push(StreamState {
             input,
-            cursor: 0,
+            ckpt: StreamCheckpoint::fresh(gid),
             home,
             ckpt_at: None,
             reforwards: 0,
@@ -490,8 +511,6 @@ impl ClusterSession {
             done: false,
             rejected: home.is_none(),
             removed: false,
-            source_lost: false,
-            survivors: Vec::new(),
         });
         (gid, placement)
     }
@@ -561,18 +580,18 @@ impl ClusterSession {
             id: gid,
             state: state.to_string(),
             instance: s.home.or(s.ckpt_at),
-            cursor: s.cursor,
+            cursor: s.ckpt.cursor,
             total_frames: s.input.traces.len() as u64,
             reforwards: s.reforwards,
             retries: s.retries,
-            source_lost: s.source_lost,
-            survivors: s.survivors.len(),
+            source_lost: s.ckpt.source_lost,
+            survivors: s.ckpt.survivors.len(),
         })
     }
 
     /// Survivor set of one stream so far (cumulative, checkpoint-backed).
     pub fn survivors_of(&self, gid: usize) -> Option<&[SurvivingFrame]> {
-        self.streams.get(gid).map(|s| s.survivors.as_slice())
+        self.streams.get(gid).map(|s| s.ckpt.survivors.as_slice())
     }
 
     /// Advance the control loop by one epoch. Returns `false` (and does
@@ -582,38 +601,60 @@ impl ClusterSession {
         if self.epoch >= self.ctrl.cfg.max_epochs || !self.active() {
             return Ok(false);
         }
-        let n_inst = self.ctrl.cfg.instances;
+        let t0 = Instant::now();
         let epoch = self.epoch;
         let epoch_end_frame = (epoch + 1) * self.ctrl.cfg.epoch_frames;
 
-        // 1. Instance faults. A crash covering this epoch kills the
-        // instance before the epoch runs; its on-disk checkpoints are
-        // all that survives.
-        for i in 0..n_inst {
-            if !self.instances[i].alive {
-                continue;
-            }
-            if let Some(f) = self.ctrl.plan.crash_frame(i) {
-                if f < epoch_end_frame {
-                    self.instances[i].alive = false;
-                    self.ctl.set_alive(i, false);
-                    self.ctrl.c_instances_crashed.inc();
-                    for gid in std::mem::take(&mut self.instances[i].resident) {
-                        let st = &mut self.streams[gid];
-                        st.home = None;
-                        // the snapshot to recover lives in the dead
-                        // instance's directory (written at the end of
-                        // its last completed epoch, if any ran)
-                        st.ckpt_at = Some(i);
-                        st.next_retry_epoch = epoch;
-                    }
-                }
+        self.fire_faults(epoch, epoch_end_frame);
+        self.resync_controller();
+        self.place_pending(epoch)?;
+        let mut epoch_results: Vec<Option<SimResult>> = vec![None; self.instances.len()];
+        for i in 0..self.instances.len() {
+            if self.instances[i].alive && !self.instances[i].resident.is_empty() {
+                let mut result = self.run_instance_epoch(i)?;
+                self.observe(i, &mut result, epoch_end_frame);
+                epoch_results[i] = Some(result);
             }
         }
+        self.rebalance(epoch, &epoch_results)?;
 
-        // 2. Re-sync the controller with each live instance's
-        // *remaining* work so placement probes price the future.
-        for i in 0..n_inst {
+        self.ctl.advance_clock(self.ctrl.epoch_wall_s());
+        self.ctrl.c_epochs.inc();
+        self.epoch += 1;
+        self.ctrl.h_epoch_wall.record(elapsed_us(t0));
+        Ok(true)
+    }
+
+    /// Fire instance faults. A crash covering this epoch kills the
+    /// instance before the epoch runs; its on-disk checkpoints are all
+    /// that survives.
+    fn fire_faults(&mut self, epoch: u64, epoch_end_frame: u64) {
+        for i in 0..self.instances.len() {
+            let Some(f) = self.ctrl.plan.crash_frame(i) else {
+                continue;
+            };
+            if !self.instances[i].alive || f >= epoch_end_frame {
+                continue;
+            }
+            self.instances[i].alive = false;
+            self.ctl.set_alive(i, false);
+            self.ctrl.c_instances_crashed.inc();
+            for gid in std::mem::take(&mut self.instances[i].resident) {
+                let st = &mut self.streams[gid];
+                st.home = None;
+                // the snapshot to recover lives in the dead instance's
+                // directory (written at the end of its last completed
+                // epoch, if any ran)
+                st.ckpt_at = Some(i);
+                st.next_retry_epoch = epoch;
+            }
+        }
+    }
+
+    /// Re-sync the controller with each live instance's *remaining* work
+    /// so placement probes price the future.
+    fn resync_controller(&mut self) {
+        for i in 0..self.instances.len() {
             if self.instances[i].alive {
                 let remaining: Vec<StreamInput> = self.instances[i]
                     .resident
@@ -623,9 +664,11 @@ impl ClusterSession {
                 self.ctl.set_streams(i, remaining);
             }
         }
+    }
 
-        // 3. Place pending streams (dead-instance recoveries and
-        // overload sheds), least-loaded live instances first.
+    /// Place pending streams (dead-instance recoveries and overload
+    /// sheds), least-loaded live instances first.
+    fn place_pending(&mut self, epoch: u64) -> io::Result<()> {
         let pending: Vec<usize> = (0..self.streams.len())
             .filter(|&gid| {
                 let s = &self.streams[gid];
@@ -639,7 +682,7 @@ impl ClusterSession {
             .collect();
         for gid in pending {
             let remaining = remaining_input(&self.streams[gid]);
-            let mut order: Vec<usize> = (0..n_inst)
+            let mut order: Vec<usize> = (0..self.instances.len())
                 .filter(|&i| self.instances[i].alive && !self.instances[i].overloaded)
                 .collect();
             order.sort_by_key(|&i| self.instances[i].resident.len());
@@ -648,24 +691,8 @@ impl ClusterSession {
                 .find(|&i| self.ctl.can_place(i, &remaining));
             match target {
                 Some(to) => {
-                    let t0 = Instant::now();
-                    self.hand_over_checkpoint(gid, to)?;
-                    self.ctrl
-                        .h_reforward_latency
-                        .record(t0.elapsed().as_secs_f64() * 1e6);
-                    let st = &mut self.streams[gid];
-                    st.home = Some(to);
-                    st.ckpt_at = Some(to);
-                    st.reforwards += 1;
-                    self.ctrl.c_reforwards.inc();
-                    self.instances[to].resident.push(gid);
+                    self.reforward(gid, to)?;
                     self.ctl.place(to, remaining);
-                    if self.streams[gid].reforwards > self.ctrl.cfg.max_reforwards {
-                        // the stream keeps bouncing between instances;
-                        // stop chasing it rather than ping-pong to the
-                        // epoch cap
-                        self.give_up(gid);
-                    }
                 }
                 None => {
                     let st = &mut self.streams[gid];
@@ -681,64 +708,41 @@ impl ClusterSession {
                 }
             }
         }
+        Ok(())
+    }
 
-        // 4. Run one epoch on every live instance with residents.
-        let mut epoch_results: Vec<Option<SimResult>> = (0..n_inst).map(|_| None).collect();
-        for i in 0..n_inst {
-            if !self.instances[i].alive || self.instances[i].resident.is_empty() {
-                continue;
+    /// What instance `i`'s epoch tells the controller: the live admission
+    /// signal, the real-time verdict, and which streams are done. A `slow@`
+    /// fault in force inflates the epoch's makespan first, so both signals
+    /// judge the effective wall.
+    fn observe(&mut self, i: usize, result: &mut SimResult, epoch_end_frame: u64) {
+        if let Some((at, dur_us)) = self.ctrl.plan.slow_from(i) {
+            if at < epoch_end_frame {
+                result.makespan_us += dur_us as f64;
             }
-            let result = self.run_instance_epoch(i)?;
-            let slow_penalty_us = match self.ctrl.plan.slow_from(i) {
-                Some((at, dur_us)) if at < epoch_end_frame => dur_us as f64,
-                _ => 0.0,
-            };
-            let eff_makespan_us = result.makespan_us + slow_penalty_us;
+        }
+        // this epoch's T-YOLO rate (stage_executed counts only this
+        // segment; resumed counters would double-count history)
+        let wall_s = (result.makespan_us / 1e6).max(1e-9);
+        let probe = Telemetry::new();
+        probe
+            .counter("stream0.tyolo.frames_in")
+            .add(result.stage_executed[2]);
+        self.ctl.observe_telemetry(i, &probe.snapshot(), wall_s);
+        self.instances[i].overloaded = is_overloaded(result, &self.ctrl.sys);
 
-            // live admission signal: this epoch's T-YOLO rate over the
-            // *effective* wall (stage_executed counts only this
-            // segment; resumed counters would double-count history)
-            let wall_s = (eff_makespan_us / 1e6).max(1e-9);
-            let probe = Telemetry::new();
-            probe
-                .counter("stream0.tyolo.frames_in")
-                .add(result.stage_executed[2]);
-            self.ctl.observe_telemetry(i, &probe.snapshot(), wall_s);
-
-            let mut eff = result.clone();
-            eff.makespan_us = eff_makespan_us;
-            let overloaded = is_overloaded(&eff, &self.ctrl.sys);
-            self.instances[i].overloaded = overloaded;
-
-            // retire completed streams — a written-off source is terminal
-            // too: nothing more will ever come over that link
-            let finished: Vec<usize> = self.instances[i]
-                .resident
-                .iter()
-                .copied()
-                .filter(|&gid| {
-                    let st = &self.streams[gid];
-                    st.cursor as usize >= st.input.traces.len() || st.source_lost
-                })
-                .collect();
-            for gid in finished {
-                let st = &mut self.streams[gid];
+        // retire completed streams — a written-off source is terminal
+        // too: nothing more will ever come over that link
+        let streams = &mut self.streams;
+        self.instances[i].resident.retain(|&gid| {
+            let st = &mut streams[gid];
+            let finished = st.ckpt.cursor as usize >= st.input.traces.len() || st.ckpt.source_lost;
+            if finished {
                 st.done = true;
                 st.home = None;
-                self.instances[i].resident.retain(|&g| g != gid);
             }
-            epoch_results[i] = Some(result);
-        }
-
-        // 5. Rebalance overloaded instances: the deterministic planner
-        // first, falling back to the legacy one-shed-per-epoch when the
-        // planner sees no structural imbalance.
-        self.rebalance(epoch, &epoch_results)?;
-
-        self.ctl.advance_clock(self.ctrl.epoch_wall_s());
-        self.ctrl.c_epochs.inc();
-        self.epoch += 1;
-        Ok(true)
+            !finished
+        });
     }
 
     /// Re-forward streams away from overloaded instances.
@@ -818,53 +822,66 @@ impl ClusterSession {
             if s.done || s.rejected || s.removed || s.home != Some(from) {
                 continue;
             }
-            let t0 = Instant::now();
-            self.hand_over_checkpoint(gid, to)?;
-            self.ctrl
-                .h_reforward_latency
-                .record(t0.elapsed().as_secs_f64() * 1e6);
+            self.reforward(gid, to)?;
             self.instances[from].resident.retain(|&g| g != gid);
-            self.instances[to].resident.push(gid);
-            let st = &mut self.streams[gid];
-            st.home = Some(to);
-            st.ckpt_at = Some(to);
-            st.reforwards += 1;
-            self.ctrl.c_reforwards.inc();
-            if self.streams[gid].reforwards > self.ctrl.cfg.max_reforwards {
-                self.give_up(gid);
-            }
+        }
+        Ok(())
+    }
+
+    /// Re-forward `gid` onto instance `to`: hand its checkpoint over
+    /// (timed), make it resident there, and charge its migration budget.
+    fn reforward(&mut self, gid: usize, to: usize) -> io::Result<()> {
+        let t0 = Instant::now();
+        self.hand_over_checkpoint(gid, to)?;
+        self.ctrl.h_reforward_latency.record(elapsed_us(t0));
+        self.instances[to].resident.push(gid);
+        let st = &mut self.streams[gid];
+        st.home = Some(to);
+        st.ckpt_at = Some(to);
+        st.reforwards += 1;
+        self.ctrl.c_reforwards.inc();
+        if st.reforwards > self.ctrl.cfg.max_reforwards {
+            // the stream keeps bouncing between instances; stop chasing it
+            // rather than ping-pong to the epoch cap
+            self.give_up(gid);
         }
         Ok(())
     }
 
     /// Move `gid`'s checkpoint file (if one exists yet) into `to`'s
-    /// directory — the atomic hand-over half of a re-forward. A stream
-    /// that never completed an epoch has no file and simply starts fresh
-    /// at the target.
-    fn hand_over_checkpoint(&self, gid: usize, to: usize) -> io::Result<()> {
-        let Some(from) = self.streams[gid].ckpt_at else {
-            return Ok(());
+    /// directory — the atomic hand-over half of a re-forward. Off a live
+    /// instance the resident checkpoint rides along in memory; off a dead
+    /// one its memory died with it, so the stream continues from what the
+    /// file says — or fresh when it never completed an epoch there.
+    fn hand_over_checkpoint(&mut self, gid: usize, to: usize) -> io::Result<()> {
+        let from = match self.streams[gid].ckpt_at {
+            Some(from) if from != to => from,
+            _ => return Ok(()),
         };
-        if from == to {
-            return Ok(());
-        }
+        let dead = !self.instances[from].alive;
         match migrate_stream_checkpoint(
             &self.instances[from].dir,
             gid,
             &self.instances[to].dir,
             gid,
         ) {
-            Ok(_) => {
-                if !self.instances[from].alive {
+            Ok(file) => {
+                self.ctrl.c_ckpt_loads.inc();
+                self.ctrl.c_ckpt_writes.inc();
+                if dead {
                     self.ctrl.c_recoveries.inc();
+                    self.streams[gid].ckpt = file;
                 }
-                Ok(())
             }
-            // no file yet: the stream never finished an epoch there, so
-            // there is nothing to ride — it starts fresh at the target
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+            // no file yet: the stream never finished an epoch there
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                if dead {
+                    self.streams[gid].ckpt = StreamCheckpoint::fresh(gid);
+                }
+            }
+            Err(e) => return Err(e),
         }
+        Ok(())
     }
 
     fn give_up(&mut self, gid: usize) {
@@ -875,66 +892,52 @@ impl ClusterSession {
         self.ctrl.c_reforward_given_up.inc();
     }
 
-    /// One epoch of one instance: stage engine-local checkpoints, run the
-    /// DES over each resident stream's next trace window, and fold the
-    /// results back into global state.
+    /// One epoch of one instance: plan (each resident's checkpoint re-keyed
+    /// to its engine-local slot, its next trace window cut), execute (one
+    /// DES segment), fold (the checkpoints the engine hands back return to
+    /// global-id keys, become resident, and are persisted once each — the
+    /// durable copy a crash leaves behind).
     fn run_instance_epoch(&mut self, i: usize) -> io::Result<SimResult> {
-        let dir = self.instances[i].dir.clone();
         let resident = self.instances[i].resident.clone();
-        let run_dir = dir.join("epoch");
-        let _ = fs::remove_dir_all(&run_dir);
-        fs::create_dir_all(&run_dir)?;
-
-        // Stage: global-id-keyed snapshots become engine-local slots. A
-        // scratch subdirectory keeps them from colliding with quiesced
-        // streams' files parked in the instance directory.
-        for (local, &gid) in resident.iter().enumerate() {
-            if let Some(ck) = load_stream_checkpoint(&dir, gid)? {
-                write_stream_checkpoint(&run_dir, &renumber_checkpoint(&ck, local))?;
-            }
-        }
-
-        let inputs: Vec<StreamInput> = resident
+        let (inputs, bases): (Vec<StreamInput>, Vec<StreamCheckpoint>) = resident
             .iter()
-            .map(|&gid| {
+            .enumerate()
+            .map(|(local, &gid)| {
                 let st = &self.streams[gid];
-                let end =
-                    (st.cursor + self.ctrl.cfg.epoch_frames).min(st.input.traces.len() as u64);
-                StreamInput {
-                    traces: st.input.traces[..end as usize].to_vec(),
+                let len = st.input.traces.len() as u64;
+                let start = st.ckpt.cursor.min(len);
+                let end = (st.ckpt.cursor + self.ctrl.cfg.epoch_frames).min(len);
+                let window = StreamInput {
+                    traces: st.input.traces[start as usize..end as usize].to_vec(),
                     thresholds: st.input.thresholds,
-                }
+                };
+                (window, renumber_checkpoint(&st.ckpt, local))
             })
-            .collect();
+            .unzip();
 
         let plan = self.epoch_fault_plan(&resident);
         let splan = self.epoch_source_plan(&resident);
-        let mut engine = Engine::new(self.ctrl.sys, Mode::Online, inputs)
-            .with_checkpoint(CheckpointSpec::new(&run_dir, u64::MAX, true));
+        let t_engine = Instant::now();
+        let mut engine = Engine::new(self.ctrl.sys, Mode::Online, inputs).resume_from(bases);
         if !plan.is_empty() {
             engine = engine.with_fault_plan(&plan);
         }
         if !splan.is_empty() {
             engine = engine.with_source_plan(&splan);
         }
-        let result = engine.run();
+        let (result, checkpoints) = engine.run_segment();
+        self.ctrl.h_epoch_engine.record(elapsed_us(t_engine));
 
-        // Fold back: local slots return to global-id keys, stream cursors
-        // and cumulative survivor sets follow their checkpoints.
-        for (local, &gid) in resident.iter().enumerate() {
-            let ck = load_stream_checkpoint(&run_dir, local)?.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("instance {i} epoch left no checkpoint for local stream {local}"),
-                )
-            })?;
+        let t_ckpt = Instant::now();
+        for (&gid, ck) in resident.iter().zip(&checkpoints) {
+            let ck = renumber_checkpoint(ck, gid);
+            write_stream_checkpoint(&self.instances[i].dir, &ck)?;
+            self.ctrl.c_ckpt_writes.inc();
             let st = &mut self.streams[gid];
-            st.cursor = ck.cursor;
-            st.survivors = ck.survivors.clone();
-            st.source_lost = st.source_lost || ck.source_lost;
-            write_stream_checkpoint(&dir, &renumber_checkpoint(&ck, gid))?;
+            st.ckpt = ck;
+            st.ckpt_at = Some(i);
         }
-        let _ = fs::remove_dir_all(&run_dir);
+        self.ctrl.h_epoch_ckpt.record(elapsed_us(t_ckpt));
 
         // Latch one-shot stream faults whose frame window this epoch
         // consumed: fresh engine injectors must not re-fire them.
@@ -951,7 +954,7 @@ impl ClusterSession {
                 StageFault::PanicAtFrame(_) => None, // persistent by design
             };
             if let Some(at) = fired_at {
-                if self.streams[e.stream].cursor > at {
+                if self.streams[e.stream].ckpt.cursor > at {
                     self.ctrl.fault_fired[idx] = true;
                 }
             }
@@ -975,7 +978,7 @@ impl ClusterSession {
             }
             // skip one-shots aimed beyond this epoch's window — harmless
             // to include, but pruning keeps injector state minimal
-            let window_end = self.streams[e.stream].cursor + self.ctrl.cfg.epoch_frames;
+            let window_end = self.streams[e.stream].ckpt.cursor + self.ctrl.cfg.epoch_frames;
             let relevant = match e.fault {
                 StageFault::PanicAtFrame(n) => n < window_end,
                 StageFault::StallFor { at_frame, .. } => at_frame < window_end,
@@ -1008,14 +1011,14 @@ impl ClusterSession {
             .map(|s| {
                 if s.removed {
                     StreamOutcome::Dropped {
-                        cursor: s.cursor,
+                        cursor: s.ckpt.cursor,
                         reforwards: s.reforwards,
                     }
                 } else if s.done {
                     StreamOutcome::Completed {
                         instance: s.ckpt_at.unwrap_or(0),
                         reforwards: s.reforwards,
-                        survivors: s.survivors.clone(),
+                        survivors: s.ckpt.survivors.clone(),
                     }
                 } else if s.rejected {
                     StreamOutcome::Rejected {
@@ -1025,7 +1028,7 @@ impl ClusterSession {
                 } else {
                     StreamOutcome::Unfinished {
                         instance: s.home,
-                        cursor: s.cursor,
+                        cursor: s.ckpt.cursor,
                         reforwards: s.reforwards,
                     }
                 }
@@ -1072,7 +1075,7 @@ impl ClusterSession {
                 .map(|s| StreamManifest {
                     traces: s.input.traces.clone(),
                     thresholds: s.input.thresholds,
-                    cursor: s.cursor,
+                    cursor: s.ckpt.cursor,
                     home: s.home,
                     ckpt_at: s.ckpt_at,
                     reforwards: s.reforwards,
@@ -1082,7 +1085,7 @@ impl ClusterSession {
                     done: s.done,
                     rejected: s.rejected,
                     removed: s.removed,
-                    source_lost: s.source_lost,
+                    source_lost: s.ckpt.source_lost,
                 })
                 .collect(),
         }
@@ -1130,12 +1133,22 @@ impl ClusterSession {
             }
         }
         for (gid, sm) in manifest.streams.iter().enumerate() {
-            let mut st = StreamState {
+            // cursor, survivors and `source_lost` ride the checkpoint file,
+            // not the manifest; a stream that never finished an epoch has
+            // none and starts fresh
+            let mut ckpt = StreamCheckpoint::fresh(gid);
+            if let Some(at) = sm.ckpt_at.or(sm.home) {
+                if let Some(ck) = load_stream_checkpoint(&session.instances[at].dir, gid)? {
+                    session.ctrl.c_ckpt_loads.inc();
+                    ckpt = ck;
+                }
+            }
+            session.streams.push(StreamState {
                 input: StreamInput {
                     traces: sm.traces.clone(),
                     thresholds: sm.thresholds,
                 },
-                cursor: sm.cursor,
+                ckpt,
                 home: sm.home,
                 ckpt_at: sm.ckpt_at,
                 reforwards: sm.reforwards,
@@ -1145,31 +1158,11 @@ impl ClusterSession {
                 done: sm.done,
                 rejected: sm.rejected,
                 removed: sm.removed,
-                source_lost: sm.source_lost,
-                survivors: Vec::new(),
-            };
-            // survivors ride the checkpoint files, not the manifest
-            if let Some(at) = st.ckpt_at {
-                if let Some(ck) = load_stream_checkpoint(&session.instances[at].dir, gid)? {
-                    st.cursor = ck.cursor;
-                    st.survivors = ck.survivors.clone();
-                    st.source_lost = st.source_lost || ck.source_lost;
-                }
-            }
-            session.streams.push(st);
+            });
         }
         // price the restored residency so offers arriving before the first
         // step are admitted against real load
-        for i in 0..session.instances.len() {
-            if session.instances[i].alive {
-                let remaining: Vec<StreamInput> = session.instances[i]
-                    .resident
-                    .iter()
-                    .map(|&gid| remaining_input(&session.streams[gid]))
-                    .collect();
-                session.ctl.set_streams(i, remaining);
-            }
-        }
+        session.resync_controller();
         Ok(session)
     }
 }
@@ -1205,7 +1198,7 @@ pub fn plan_rebalance(
 /// Build the remaining (un-run) input of a stream for placement probes.
 fn remaining_input(st: &StreamState) -> StreamInput {
     StreamInput {
-        traces: st.input.traces[(st.cursor as usize).min(st.input.traces.len())..].to_vec(),
+        traces: st.input.traces[(st.ckpt.cursor as usize).min(st.input.traces.len())..].to_vec(),
         thresholds: st.input.thresholds,
     }
 }
@@ -1368,6 +1361,119 @@ mod tests {
         let lat = &report.telemetry.histograms["cluster.reforward_latency_us"];
         assert_eq!(lat.count, report.telemetry.counter("cluster.reforwards"));
         assert!(report.reforward_latency_ms() >= 0.0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The epoch I/O budget: one checkpoint write per resident stream per
+    /// epoch and no read at all while the fleet is healthy; a crash reads
+    /// exactly the files it recovers. After every step each live resident's
+    /// file equals its resident checkpoint, and no scratch directory is left.
+    #[test]
+    fn epochs_write_each_stream_once_and_read_the_disk_only_to_recover() {
+        let sys = FfsVaConfig::default();
+        for (tag, faults, recovered, instance_epochs) in [
+            ("healthy", ClusterFaultPlan::new(), 0, 8),
+            (
+                "crash",
+                ClusterFaultPlan::parse("instance0:crash@150").unwrap(),
+                2,
+                5,
+            ),
+        ] {
+            let root = tmp_root(&format!("io_{tag}"));
+            let cfg = ClusterConfig::new(2, &root).with_epoch_frames(100);
+            let mut session = Cluster::new(sys, cfg.clone())
+                .with_fault_plan(&faults)
+                .into_session()
+                .unwrap();
+            for _ in 0..4 {
+                session.offer(synthetic_input(320, 8));
+            }
+            while session.step().unwrap() {
+                for inst in session.instances.iter().filter(|inst| inst.alive) {
+                    assert!(!inst.dir.join("epoch").exists(), "{tag}: scratch dir");
+                    for &gid in &inst.resident {
+                        assert_eq!(
+                            load_stream_checkpoint(&inst.dir, gid).unwrap().as_ref(),
+                            Some(&session.streams[gid].ckpt),
+                            "{tag}: stream {gid}'s file differs from its resident checkpoint"
+                        );
+                    }
+                }
+            }
+            // a restored session finds every stream's file again, those of
+            // streams that never moved and already retired included
+            let ctrl = Cluster::new(sys, cfg).with_fault_plan(&faults);
+            let restored = ClusterSession::restore(ctrl, &session.export_manifest()).unwrap();
+            for gid in 0..4 {
+                assert!(!session.survivors_of(gid).unwrap().is_empty());
+                assert_eq!(restored.survivors_of(gid), session.survivors_of(gid));
+            }
+            assert_eq!(restored.telemetry().counter("cluster.ckpt_loads").get(), 4);
+            let report = session.into_report();
+            assert_eq!(report.completed(), 4, "{tag}: {:?}", report.outcomes);
+            assert_eq!(report.epochs, 4);
+            let snap = &report.telemetry;
+            // 4 streams x 4 epochs, plus one write per migrated file
+            assert_eq!(snap.counter("cluster.ckpt_writes"), 16 + recovered, "{tag}");
+            assert_eq!(snap.counter("cluster.ckpt_loads"), recovered, "{tag}");
+            assert_eq!(snap.counter("cluster.recoveries"), recovered, "{tag}");
+            assert_eq!(snap.histograms["cluster.epoch_wall_us"].count, 4);
+            for name in ["cluster.epoch_engine_us", "cluster.epoch_ckpt_us"] {
+                assert_eq!(
+                    snap.histograms[name].count, instance_epochs,
+                    "{tag}: {name}"
+                );
+            }
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    /// Disk is truth: what a crash recovers is the file, never the dead
+    /// instance's memory. A stream whose file is one epoch stale resumes
+    /// from the stale cursor, finishes one epoch after its siblings, and
+    /// still reports reference-identical survivors.
+    #[test]
+    fn recovery_continues_from_the_file_not_from_the_dead_instances_memory() {
+        let sys = FfsVaConfig::default();
+        let root = tmp_root("disk_truth");
+        let inputs: Vec<StreamInput> = (0..4).map(|_| synthetic_input(320, 8)).collect();
+        let expected = reference_survivors(&sys, &inputs);
+
+        // instance 0 dies before the epoch covering frame 250 (epoch 2)
+        let plan = ClusterFaultPlan::parse("instance0:crash@250").unwrap();
+        let cfg = ClusterConfig::new(2, &root).with_epoch_frames(100);
+        let mut session = Cluster::new(sys, cfg)
+            .with_fault_plan(&plan)
+            .into_session()
+            .unwrap();
+        for input in inputs {
+            session.offer(input);
+        }
+        assert!(session.step().unwrap());
+        let (victim, sibling) = (
+            session.instances[0].resident[0],
+            session.instances[0].resident[1],
+        );
+        let file = crate::checkpoint::stream_ckpt_path(&session.instances[0].dir, victim);
+        let after_first_epoch = fs::read(&file).unwrap();
+        assert!(session.step().unwrap());
+        assert_eq!(session.status(victim).unwrap().cursor, 200);
+        fs::write(&file, after_first_epoch).unwrap();
+
+        // the crash fires: both streams ride their files onto instance 1,
+        // the victim from frame 100, its sibling from frame 200
+        assert!(session.step().unwrap());
+        assert_eq!(session.status(victim).unwrap().cursor, 200);
+        assert_eq!(session.status(sibling).unwrap().cursor, 300);
+        while session.step().unwrap() {}
+
+        let report = session.into_report();
+        assert_eq!(report.epochs, 5, "the stale stream needs one extra epoch");
+        assert_eq!(report.completed(), 4, "outcomes {:?}", report.outcomes);
+        for (s, exp) in expected.iter().enumerate() {
+            assert_eq!(report.survivors(s).unwrap(), exp.as_slice(), "stream {s}");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 /// point of disposal (drop or reference completion).
 type InFlight = (Instant, LabeledFrame);
 
-fn elapsed_us(since: Instant) -> f64 {
+pub(crate) fn elapsed_us(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e6
 }
 

@@ -397,9 +397,9 @@ impl SimResult {
     }
 }
 
-/// Collects timelines out of a consumed engine (internal).
-#[derive(Default)]
-struct TimelineKeeper(Vec<Vec<FrameTimeline>>);
+/// What a consumed engine leaves: the report, each stream's end-of-segment
+/// checkpoint (when asked for), the frame timelines (when traced).
+type Finished = (SimResult, Vec<StreamCheckpoint>, Vec<Vec<FrameTimeline>>);
 
 /// The engine itself.
 pub struct Engine {
@@ -604,18 +604,45 @@ impl Engine {
         self
     }
 
-    /// Attach crash-safe checkpointing: periodic per-stream snapshots into
-    /// `spec.dir` at quiescent boundaries plus a final snapshot per stream
-    /// at run end. With `spec.resume`, checkpoints already in the directory
-    /// seed the counters, survivors, and source cursors so the run
-    /// continues exactly where the previous one stopped.
+    /// Attach crash-safe checkpointing — the file front-end of
+    /// [`Engine::resume_from`] / [`Engine::run_segment`]: periodic per-stream
+    /// snapshots into `spec.dir` at quiescent boundaries plus a final one per
+    /// stream at run end. With `spec.resume`, the checkpoints already there
+    /// are loaded, the consumed head of each input is skipped, and the run is
+    /// seeded from them so it continues exactly where the previous stopped.
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.c_ckpt_writes = Some(self.telemetry.counter("checkpoint.writes"));
         self.h_ckpt_age = Some(
             self.telemetry
                 .histogram("checkpoint.age_ms", LATENCY_BOUNDS_US),
         );
+        if spec.resume {
+            let bases =
+                load_all(&spec.dir, self.streams.len()).expect("load checkpoints for resume");
+            for (st, base) in self.streams.iter_mut().zip(&bases) {
+                let skip = (base.cursor as usize).min(st.input.traces.len());
+                st.input.traces.drain(..skip);
+            }
+            self = self.resume_from(bases);
+        }
         self.ckpt = Some(spec);
+        self
+    }
+
+    /// Seed the run from in-memory checkpoints, one per stream and keyed to
+    /// its engine-local slot — the one resume path. Each input must already
+    /// start at its checkpoint's cursor. Re-adds every counter share earlier
+    /// segments banked (handles intern by name, so the additions land on the
+    /// live cells) and preloads the survivor prefix.
+    pub fn resume_from(mut self, bases: Vec<StreamCheckpoint>) -> Self {
+        assert_eq!(bases.len(), self.streams.len(), "one checkpoint per stream");
+        for (st, mut base) in self.streams.iter_mut().zip(bases) {
+            for (name, v) in &base.counters {
+                self.telemetry.counter(name).add(*v);
+            }
+            st.survivors = std::mem::take(&mut base.survivors);
+            st.base = base;
+        }
         self
     }
 
@@ -625,34 +652,13 @@ impl Engine {
         }
     }
 
-    /// Resolve resume state and ingest preps before the first event fires.
-    ///
-    /// Resume seeding re-adds every counter share a previous segment banked
-    /// (counter handles intern by name, so the additions land on the live
-    /// cells), preloads the survivor prefix, and skips the already-consumed
-    /// head of each stream's input. Ingest prep then classifies what is left
-    /// and accounts all source-level rejections eagerly — the run itself
-    /// only ever sees admitted frames.
+    /// Resolve ingest preps before the first event fires: classify what is
+    /// left of each stream's input (a resumed stream's starts at its cursor)
+    /// and account all source-level rejections eagerly — the run itself only
+    /// ever sees admitted frames.
     fn prepare_sources(&mut self) {
-        if let Some(spec) = &self.ckpt {
-            if spec.resume {
-                let loaded =
-                    load_all(&spec.dir, self.streams.len()).expect("load checkpoints for resume");
-                for (s, base) in loaded.into_iter().enumerate() {
-                    for (name, v) in &base.counters {
-                        self.telemetry.counter(name).add(*v);
-                    }
-                    let st = &mut self.streams[s];
-                    st.survivors = base.survivors.clone();
-                    let skip = (base.cursor as usize).min(st.input.traces.len());
-                    st.input.traces.drain(..skip);
-                    st.base = base;
-                }
-            }
-        }
-        let plan = match &self.source_plan {
-            Some(p) => p.clone(),
-            None => return,
+        let Some(plan) = self.source_plan.clone() else {
+            return;
         };
         let policy = self.cfg.reconnect_policy();
         let reorder_cap = self.cfg.reorder_buffer;
@@ -693,18 +699,23 @@ impl Engine {
         if self.timelines.is_none() {
             self = self.with_tracing();
         }
-        let mut keeper = TimelineKeeper::default();
-        let result = self.run_internal(&mut keeper);
-        (result, keeper.0)
+        let (result, _, timelines) = self.run_internal(false);
+        (result, timelines)
     }
 
     /// Run the simulation to completion and report.
     pub fn run(self) -> SimResult {
-        let mut keeper = TimelineKeeper::default();
-        self.run_internal(&mut keeper)
+        self.run_internal(false).0
     }
 
-    fn run_internal(mut self, keeper: &mut TimelineKeeper) -> SimResult {
+    /// Run to completion and hand back each stream's end-of-segment
+    /// checkpoint with the report — what seeds the next segment.
+    pub fn run_segment(self) -> (SimResult, Vec<StreamCheckpoint>) {
+        let (result, checkpoints, _) = self.run_internal(true);
+        (result, checkpoints)
+    }
+
+    fn run_internal(mut self, hand_back: bool) -> Finished {
         self.prepare_sources();
         // Pin the big models: a T-YOLO replica per filter GPU, the
         // reference model on every reference GPU.
@@ -733,10 +744,7 @@ impl Engine {
             self.handle(ev);
             self.dispatch();
         }
-        if let Some(tl) = self.timelines.take() {
-            keeper.0 = tl;
-        }
-        self.finish()
+        self.finish(hand_back)
     }
 
     fn frame_period_us(&self) -> f64 {
@@ -894,11 +902,6 @@ impl Engine {
         self.dispose(t, now);
     }
 
-    /// Frame seq for a token (the fault-plan key).
-    fn seq_of(&self, t: Token) -> u64 {
-        self.streams[t.stream].trace(t.idx).seq
-    }
-
     /// Record a frame's final disposition (dropped or fully analyzed).
     fn dispose(&mut self, t: Token, now: f64) {
         self.latency.record(now - t.arrival_us);
@@ -919,16 +922,15 @@ impl Engine {
     /// runs comes from segmenting the input, e.g. the CLI's `--stop-after`).
     fn maybe_checkpoint(&mut self, s: usize, now: f64) {
         let Some(spec) = &self.ckpt else { return };
-        let interval = spec.interval_frames;
         let st = &self.streams[s];
         if st.ingest.is_some()
             || st.disposed != st.next_idx as u64
-            || st.disposed < st.last_ckpt_disposed + interval
+            || st.disposed < st.last_ckpt_disposed + spec.interval_frames
         {
             return;
         }
-        let spec = spec.clone();
-        self.write_checkpoint(s, &spec, now);
+        let ck = self.build_checkpoint(s, &self.telemetry.snapshot());
+        self.write_checkpoint(&ck, now);
     }
 
     /// Names of the ingest globals a stream banks its share of.
@@ -939,12 +941,11 @@ impl Engine {
         "src.duplicates",
     ];
 
-    /// Persist one stream's checkpoint: its counter shares (scoped series
-    /// verbatim, globals as this stream's contribution so summing the
-    /// per-stream files reconstructs them), survivors, thresholds, and the
-    /// source cursor.
-    fn write_checkpoint(&mut self, s: usize, spec: &CheckpointSpec, now: f64) {
-        let snap = self.telemetry.snapshot();
+    /// Assemble one stream's checkpoint — the one place it is built: its
+    /// counter shares out of `snap` (scoped series verbatim, globals as this
+    /// stream's contribution so summing the per-stream checkpoints
+    /// reconstructs them), survivors, thresholds, and the source cursor.
+    fn build_checkpoint(&self, s: usize, snap: &TelemetrySnapshot) -> StreamCheckpoint {
         let st = &self.streams[s];
         let mut ck = StreamCheckpoint::fresh(s);
         ck.cursor = st.base.cursor
@@ -986,11 +987,17 @@ impl Engine {
                     .insert((*name).to_string(), base.unwrap_or(0) + live.unwrap_or(0));
             }
         }
-        write_stream_checkpoint(&spec.dir, &ck).expect("write checkpoint");
+        ck
+    }
+
+    /// Persist one built checkpoint into the attached directory.
+    fn write_checkpoint(&mut self, ck: &StreamCheckpoint, now: f64) {
+        let Some(spec) = &self.ckpt else { return };
+        write_stream_checkpoint(&spec.dir, ck).expect("write checkpoint");
         if let Some(c) = &self.c_ckpt_writes {
             c.inc();
         }
-        let st = &mut self.streams[s];
+        let st = &mut self.streams[ck.stream];
         if let Some(h) = &self.h_ckpt_age {
             h.record((now - st.last_ckpt_us).max(0.0) / 1e3);
         }
@@ -1372,23 +1379,30 @@ impl Engine {
         progress
     }
 
-    fn finish(mut self) -> SimResult {
+    fn finish(mut self, hand_back: bool) -> Finished {
         let makespan = self.events.now().max(1.0);
-        // final checkpoints precede the snapshot so `checkpoint.writes`
-        // lands in the reported telemetry; the run is fully drained, so
-        // every stream is quiescent and its cursor covers the whole input
-        if let Some(spec) = self.ckpt.clone() {
-            let now = self.events.now();
-            for s in 0..self.streams.len() {
-                self.write_checkpoint(s, &spec, now);
-            }
-        }
         // engine-private series carry the `des.` prefix and are excluded
         // from DES↔RT name conformance
         self.telemetry
             .counter("des.events_processed")
             .add(self.events.processed());
-        let telemetry = self.telemetry.snapshot();
+        let mut telemetry = self.telemetry.snapshot();
+        // fully drained, so every stream is quiescent and one snapshot
+        // serves them all; a run that wants no checkpoint builds none
+        let mut checkpoints = Vec::new();
+        if hand_back || self.ckpt.is_some() {
+            checkpoints = (0..self.streams.len())
+                .map(|s| self.build_checkpoint(s, &telemetry))
+                .collect();
+        }
+        if self.ckpt.is_some() {
+            let now = self.events.now();
+            for ck in &checkpoints {
+                self.write_checkpoint(ck, now);
+            }
+            // so `checkpoint.writes` lands in the reported telemetry
+            telemetry = self.telemetry.snapshot();
+        }
         let total: u64 = self.streams.iter().map(|s| s.disposed).sum();
         let per_stream_fps: Vec<f64> = self
             .streams
@@ -1406,7 +1420,6 @@ impl Engine {
             .collect();
         let per_stream_max_backlog = self.streams.iter().map(|s| s.max_backlog).collect();
         let per_stream_quarantined = self.streams.iter().map(|s| s.quarantined_frames).collect();
-        let per_stream_survivors = self.streams.iter().map(|s| s.survivors.clone()).collect();
         let per_stream_source_lost = self.streams.iter().map(|s| s.source_lost()).collect();
         let cpu_busy: f64 = self.cpu.iter().map(|d| d.busy_time_us()).sum();
         // The filter GPUs host both the SNMs and T-YOLO; their switch count
@@ -1419,7 +1432,7 @@ impl Engine {
         let (snm_inv, snm_sw) = (self.snm_batches, gpu_switches);
         let filter_busy: f64 = self.filter_gpus.iter().map(|d| d.busy_time_us()).sum();
         let ref_busy_t: f64 = self.ref_gpus.iter().map(|d| d.busy_time_us()).sum();
-        SimResult {
+        let result = SimResult {
             mode_online: self.mode == Mode::Online,
             num_streams: self.streams.len(),
             total_frames: total,
@@ -1453,10 +1466,11 @@ impl Engine {
                 self.snm_batched_frames as f64 / self.snm_batches as f64
             },
             per_stream_quarantined,
-            per_stream_survivors,
+            per_stream_survivors: self.streams.into_iter().map(|s| s.survivors).collect(),
             per_stream_source_lost,
             telemetry,
-        }
+        };
+        (result, checkpoints, self.timelines.unwrap_or_default())
     }
 }
 
@@ -1979,6 +1993,73 @@ mod tests {
             uninterrupted.telemetry.counter("pipeline.frames_in")
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One stream run as three segments — handed from engine to engine in
+    /// memory, or through checkpoint files — equals one uninterrupted run,
+    /// and at every boundary the file a segment leaves behind *is* the
+    /// checkpoint the in-memory segment hands back. Checked without a source
+    /// plan and with one whose faults straddle both cuts (a drop range
+    /// across frame 150, a reorder held across frame 300).
+    #[test]
+    fn in_memory_segments_match_file_segments_and_one_uninterrupted_run() {
+        use crate::checkpoint::{load_stream_checkpoint, CheckpointSpec};
+        use ffsva_video::SourceFaultPlan;
+        let straddling = SourceFaultPlan::parse(
+            "stream0.src:drop@145..155,stream0.src:dup@140,\
+             stream0.src:reorder@298+3,stream0.src:corrupt@300",
+        )
+        .unwrap();
+        for (tag, plan) in [("plain", SourceFaultPlan::new()), ("faulted", straddling)] {
+            let dir =
+                std::env::temp_dir().join(format!("ffsva_sim_seg_{tag}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let full = synthetic_input(450, 5);
+            let part = |range: std::ops::Range<usize>| StreamInput {
+                traces: full.traces[range].to_vec(),
+                thresholds: full.thresholds,
+            };
+            let engine = |input: StreamInput| {
+                Engine::new(base_cfg(), Mode::Offline, vec![input]).with_source_plan(&plan)
+            };
+            let uninterrupted = engine(full.clone()).run();
+
+            let mut resident = StreamCheckpoint::fresh(0);
+            let mut finals = Vec::new();
+            for (k, end) in [150usize, 300, 450].into_iter().enumerate() {
+                let window = part(resident.cursor as usize..end);
+                let (in_memory, handed_back) =
+                    engine(window).resume_from(vec![resident]).run_segment();
+                resident = handed_back.into_iter().next().unwrap();
+                let from_files = engine(part(0..end))
+                    .with_checkpoint(CheckpointSpec::new(&dir, u64::MAX, k > 0))
+                    .run();
+                assert_eq!(resident.cursor, end as u64, "{tag}: segment {k} cursor");
+                assert_eq!(
+                    load_stream_checkpoint(&dir, 0).unwrap().as_ref(),
+                    Some(&resident),
+                    "{tag}: segment {k} leaves a different file than it hands back"
+                );
+                finals = vec![in_memory, from_files];
+            }
+            assert!(!uninterrupted.per_stream_survivors[0].is_empty());
+            for r in &finals {
+                assert_eq!(r.per_stream_survivors, uninterrupted.per_stream_survivors);
+                assert_eq!(
+                    r.telemetry.frames_counters(),
+                    uninterrupted.telemetry.frames_counters(),
+                    "{tag}: segmented counters drifted"
+                );
+                for name in Engine::SRC_GLOBALS {
+                    assert_eq!(
+                        r.telemetry.counter(name),
+                        uninterrupted.telemetry.counter(name),
+                        "{tag}: {name}"
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

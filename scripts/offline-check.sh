@@ -9,9 +9,11 @@
 #      FeedbackQueue::new, SimQueue::new, StageTelemetry::register,
 #      QueueTelemetry::register, ...);
 #   2. run the harness's unit tests;
-#   3. run both RT workloads for one second: a run exits non-zero on any
-#      failed operation, i.e. unless every stream's survivors equal
-#      `cascade_pass` over the bank's trace of the same frames.
+#   3. run all four workloads for one second each: a run exits non-zero on
+#      any failed operation, i.e. unless every stream's survivors equal
+#      `cascade_pass` over the bank's trace of the same frames — in the RT
+#      engine (rt_sparse, rt_dense), the DES (des_fleet) and the cluster's
+#      checkpoint-resumed epochs across a crash (cluster_failover).
 #
 # Nothing under benchmark/ is modified; build products land in
 # $CARGO_TARGET_DIR, or benchmark/target when that is unset.
@@ -24,7 +26,7 @@ cargo "${offline[@]}" build "${manifest[@]}"
 cargo "${offline[@]}" test "${manifest[@]}"
 
 bin="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
-for workload in rt_sparse rt_dense; do
+for workload in rt_sparse rt_dense des_fleet cluster_failover; do
   "$bin" run --workload "$workload" --seed 1 --seconds 1
 done
 echo "offline-check: ok"

@@ -1,19 +1,13 @@
 //! One-screen digest of every experiment's JSON output in `results/` —
 //! run after the suite to sanity-check the headline shapes at a glance.
 
-use ffsva_bench::report::{digest_table, table};
+use ffsva_bench::report::table;
 use ffsva_bench::results_dir;
-use ffsva_core::PipelineDigest;
 use serde_json::Value;
-use std::path::PathBuf;
-
-fn load_path(path: PathBuf) -> Option<Value> {
-    let bytes = std::fs::read(path).ok()?;
-    serde_json::from_slice(&bytes).ok()
-}
 
 fn load(name: &str) -> Option<Value> {
-    load_path(results_dir().join(format!("{}.json", name)))
+    let bytes = std::fs::read(results_dir().join(format!("{}.json", name))).ok()?;
+    serde_json::from_slice(&bytes).ok()
 }
 
 fn f(v: &Value, path: &[&str]) -> Option<f64> {
@@ -125,44 +119,5 @@ fn main() {
     println!("{}", table(&["metric", "measured"], &rows));
     if !missing.is_empty() {
         println!("missing results (run the suite first): {:?}", missing);
-    }
-
-    // `ffsva bench` output (the CI gate input), preferring a fresh run over
-    // the committed baseline.
-    let bench = load_path(results_dir().join("BENCH.json"))
-        .map(|v| ("results/BENCH.json", v))
-        .or_else(|| load_path(results_dir().join("../BENCH.json")).map(|v| ("BENCH.json", v)))
-        .or_else(|| {
-            load_path(results_dir().join("BENCH_BASELINE.json"))
-                .map(|v| ("results/BENCH_BASELINE.json", v))
-        });
-    match bench {
-        Some((src, doc)) => {
-            println!("== bench digest ({}) ==", src);
-            for (key, label) in [("des", "DES engine"), ("rt", "RT engine")] {
-                let Some(section) = doc.get(key) else {
-                    continue;
-                };
-                let streams = f(section, &["streams"]).unwrap_or(f64::NAN);
-                let Some(digest) = section.get("digest").cloned() else {
-                    continue;
-                };
-                match serde_json::from_value::<PipelineDigest>(digest) {
-                    Ok(d) => {
-                        println!("{} ({} stream(s)):", label, streams);
-                        println!("{}", digest_table(&d));
-                    }
-                    Err(e) => println!("{}: unreadable digest: {}", label, e),
-                }
-            }
-            if doc
-                .get("provisional")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false)
-            {
-                println!("note: bench baseline is provisional — bless one with scripts/update-baseline.sh");
-            }
-        }
-        None => println!("no BENCH.json yet (run `ffsva bench`)"),
     }
 }

@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 use crate::config::StreamThresholds;
 use crate::rt_engine::SurvivingFrame;
 use ffsva_models::SddFilter;
+use ffsva_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 
 /// Version stamped into every checkpoint file.
@@ -96,7 +97,52 @@ impl StreamCheckpoint {
             source_lost: false,
         }
     }
+
+    /// Bank this stream's counter shares — the one rule both engines
+    /// checkpoint by. The `stream<N>.*` scope copies out of `snap` verbatim
+    /// (live counters already include what a resumed `base` re-seeded). The
+    /// globals record this stream's contribution only — `base`'s share plus
+    /// what this run added — so summing the per-stream checkpoints
+    /// reconstructs them: `frames_in` source frames admitted to the
+    /// pipeline, and `src` the ingest counts in [`SRC_GLOBALS`] order,
+    /// `None` when the run had no source plan. A `src.*` key is written when
+    /// the base or the run has it, so a banked key survives a resumed
+    /// segment without a plan, whatever its value.
+    pub(crate) fn bank_counters(
+        &mut self,
+        base: &StreamCheckpoint,
+        snap: &TelemetrySnapshot,
+        frames_in: u64,
+        src: Option<[u64; 4]>,
+    ) {
+        let scope = format!("stream{}.", self.stream);
+        for (name, v) in &snap.counters {
+            if name.starts_with(&scope) {
+                self.counters.insert(name.clone(), *v);
+            }
+        }
+        let banked = |name: &str| base.counters.get(name).copied();
+        self.counters.insert(
+            "pipeline.frames_in".to_string(),
+            banked("pipeline.frames_in").unwrap_or(0) + frames_in,
+        );
+        for (i, name) in SRC_GLOBALS.iter().enumerate() {
+            let (was, added) = (banked(name), src.map(|v| v[i]));
+            if was.is_some() || added.is_some() {
+                self.counters
+                    .insert((*name).to_string(), was.unwrap_or(0) + added.unwrap_or(0));
+            }
+        }
+    }
 }
+
+/// Names of the ingest globals a stream banks its share of.
+pub(crate) const SRC_GLOBALS: [&str; 4] = [
+    "src.reconnects",
+    "src.corrupt",
+    "src.reorder_evictions",
+    "src.duplicates",
+];
 
 /// The checkpoint file for one stream.
 pub fn stream_ckpt_path(dir: &Path, stream: usize) -> PathBuf {

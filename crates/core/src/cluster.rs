@@ -58,7 +58,10 @@ use crate::checkpoint::{
     write_stream_checkpoint, StreamCheckpoint,
 };
 use crate::config::{FfsVaConfig, StreamThresholds};
-use crate::instance::{balance_instances_from, is_overloaded, AdmissionController, Placement};
+use crate::instance::{
+    balance_instances, balance_instances_from, is_overloaded, max_sustained, AdmissionController,
+    Placement,
+};
 use crate::rt_engine::{elapsed_us, SurvivingFrame};
 use crate::sim::{Engine, Mode, SimResult, StreamInput};
 use ffsva_models::FrameTrace;
@@ -1205,45 +1208,21 @@ fn remaining_input(st: &StreamState) -> StreamInput {
 
 /// Find the maximum stream count an `n_instances` fleet sustains in real
 /// time, with re-forwarding allowed to spread load — the cluster-level
-/// analogue of [`crate::instance::find_max_online_streams`], and the
-/// deterministic planner behind `cluster.streams_sustained`.
+/// analogue of [`crate::instance::find_max_online_streams`], behind
+/// `ffsva capacity --instances`.
 pub fn find_max_cluster_streams(
     cfg: &FfsVaConfig,
     n_instances: usize,
     mut make_inputs: impl FnMut(usize) -> Vec<StreamInput>,
     upper_bound: usize,
 ) -> usize {
-    use crate::instance::balance_instances;
     if upper_bound == 0 || n_instances == 0 {
         return 0;
     }
     let pool = make_inputs(upper_bound);
-    let upper_bound = upper_bound.min(pool.len());
-    let ok = |n: usize| -> bool {
-        if n == 0 {
-            return true;
-        }
+    max_sustained(upper_bound.min(pool.len()), |n| {
         balance_instances(cfg, &pool[..n], n_instances, 2 * n + 4).all_realtime
-    };
-    if pool.is_empty() || !ok(1) {
-        return 0;
-    }
-    let mut lo = 1usize;
-    let mut hi = 2usize;
-    while hi <= upper_bound && ok(hi) {
-        lo = hi;
-        hi *= 2;
-    }
-    let mut hi = hi.min(upper_bound + 1);
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if ok(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    })
 }
 
 #[cfg(test)]

@@ -142,7 +142,7 @@ pub struct FfsVaConfig {
     pub pool_workers_snm: usize,
     /// Measured SNM cost curve overriding the paper's calibrated
     /// [`ffsva_models::snm_cost`] in the DES engine — fit from the real
-    /// kernel's batch-latency samples (`ffsva bench --fit-cost`) via
+    /// kernel's batch-latency samples (`ffsva tune --fit-cost`) via
     /// [`ffsva_models::cost::fit_batch_curve`], so simulated service times
     /// track this machine instead of the GTX-1080 testbed. `None` keeps the
     /// paper numbers.

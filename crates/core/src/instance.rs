@@ -43,18 +43,20 @@ pub fn find_max_online_streams(
         return 0;
     }
     let pool = make_inputs(upper_bound);
-    let upper_bound = upper_bound.min(pool.len());
-    let ok = |n: usize| -> bool {
-        if n == 0 {
-            return true;
-        }
-        let r = Engine::new(*cfg, Mode::Online, pool[..n].to_vec()).run();
-        r.realtime(cfg.online_fps)
-    };
-    if pool.is_empty() || !ok(1) {
+    max_sustained(upper_bound.min(pool.len()), |n| {
+        Engine::new(*cfg, Mode::Online, pool[..n].to_vec())
+            .run()
+            .realtime(cfg.online_fps)
+    })
+}
+
+/// The largest `n` in `1..=upper_bound` for which `ok(n)` holds (0 when not
+/// even one stream does), for an `ok` that holds up to some capacity and
+/// fails beyond it: doubling, then bisection.
+pub(crate) fn max_sustained(upper_bound: usize, ok: impl Fn(usize) -> bool) -> usize {
+    if upper_bound == 0 || !ok(1) {
         return 0;
     }
-    // exponential probe
     let mut lo = 1usize;
     let mut hi = 2usize;
     while hi <= upper_bound && ok(hi) {
@@ -62,7 +64,7 @@ pub fn find_max_online_streams(
         hi *= 2;
     }
     let mut hi = hi.min(upper_bound + 1);
-    // binary search in (lo, hi)
+    // the capacity is in [lo, hi)
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
         if ok(mid) {
@@ -397,33 +399,19 @@ pub fn balance_instances_from(
             Some(Engine::new(*cfg, Mode::Online, inputs).run())
         }
     };
+    let overloaded = |r: &Option<SimResult>| r.as_ref().is_some_and(|r| is_overloaded(r, cfg));
+    // an empty instance is spare
+    let spare = |r: &Option<SimResult>| r.as_ref().is_none_or(|r| has_spare_capacity(r, cfg));
 
+    // Only the two ends of a move change, so each instance's result is
+    // kept and re-simulated only when its stream set does.
+    let mut results: Vec<Option<SimResult>> =
+        (0..n_instances).map(|i| simulate(&assignment, i)).collect();
     for _ in 0..max_rounds {
-        let results: Vec<Option<SimResult>> =
-            (0..n_instances).map(|i| simulate(&assignment, i)).collect();
-        // Find an overloaded instance and a spare one.
-        let overloaded = (0..n_instances).find(|&i| {
-            results[i]
-                .as_ref()
-                .map(|r| is_overloaded(r, cfg))
-                .unwrap_or(false)
-        });
-        let Some(from) = overloaded else {
-            return BalanceOutcome {
-                assignment,
-                reforwarded,
-                all_realtime: true,
-            };
+        let Some(from) = results.iter().position(overloaded) else {
+            break;
         };
-        let spare = (0..n_instances).find(|&i| {
-            i != from
-                && results[i]
-                    .as_ref()
-                    .map(|r| has_spare_capacity(r, cfg))
-                    .unwrap_or(true) // empty instance = spare
-        });
-        let Some(to) = spare else { break };
-        // Move the highest-pressure stream (largest backlog) off `from`.
+        // The victim is the highest-pressure stream (largest backlog) on `from`.
         let r_from = results[from].as_ref().expect("overloaded => non-empty");
         let local: Vec<usize> = assignment
             .iter()
@@ -439,19 +427,31 @@ pub fn balance_instances_from(
             .map(|(k, _)| k)
             .unwrap_or(0);
         let victim = local[worst_local.min(local.len() - 1)];
-        assignment[victim] = to;
+        // The target is the first instance that shows spare capacity and
+        // stays real-time with the victim on it — the
+        // what-if `AdmissionController::can_place` runs. Spare capacity
+        // alone is not enough: below the T-YOLO admission rate it only says
+        // "real-time now", which an instance at exactly its capacity is.
+        let target = (0..n_instances)
+            .filter(|&to| to != from && spare(&results[to]))
+            .find_map(|to| {
+                assignment[victim] = to;
+                let r = simulate(&assignment, to).expect("holds the victim");
+                r.realtime(cfg.online_fps).then_some((to, r))
+            });
+        let Some((to, with_victim)) = target else {
+            assignment[victim] = from;
+            break;
+        };
+        results[to] = Some(with_victim);
+        results[from] = simulate(&assignment, from);
         reforwarded += 1;
     }
 
-    let all_realtime = (0..n_instances).all(|i| {
-        simulate(&assignment, i)
-            .map(|r| r.realtime(cfg.online_fps))
-            .unwrap_or(true)
-    });
     BalanceOutcome {
         assignment,
         reforwarded,
-        all_realtime,
+        all_realtime: !results.iter().any(overloaded),
     }
 }
 
@@ -783,6 +783,52 @@ mod tests {
         let out = balance_instances_from(&cfg, &heavy, 1, 8, vec![0; 24]);
         assert_eq!(out.reforwarded, 0, "single instance has no target");
         assert!(out.assignment.iter().all(|&a| a == 0));
+    }
+
+    fn on_instance(streams: &[StreamInput], assignment: &[usize], inst: usize) -> Vec<StreamInput> {
+        (0..streams.len())
+            .filter(|&i| assignment[i] == inst)
+            .map(|i| streams[i].clone())
+            .collect()
+    }
+
+    #[test]
+    fn pile_up_on_one_instance_converges_without_overloading_a_target() {
+        let cfg = FfsVaConfig::default();
+        // one instance serves 5 of these in real time, not 6: 12 piled on
+        // instance 0 need 7 moves, and 5/5/2 is the first feasible split
+        let streams: Vec<StreamInput> = (0..12).map(|_| synthetic_input(300, 2)).collect();
+        let initial = vec![0usize; 12];
+        let out = balance_instances_from(&cfg, &streams, 3, 48, initial.clone());
+        assert!(out.reforwarded <= 10, "{} moves", out.reforwarded);
+        assert!(out.all_realtime, "assignment {:?}", out.assignment);
+        assert_eq!(out.assignment.len(), 12);
+        // no stream is moved twice: every move is one assignment change
+        let changed = (0..12).filter(|&i| out.assignment[i] != initial[i]).count();
+        assert_eq!(changed, out.reforwarded);
+        let mut placed = 0;
+        for inst in 0..3 {
+            let local = on_instance(&streams, &out.assignment, inst);
+            placed += local.len();
+            let r = Engine::new(cfg, Mode::Online, local).run();
+            assert!(!is_overloaded(&r, &cfg), "instance {} overloaded", inst);
+        }
+        assert_eq!(placed, 12, "assignment {:?}", out.assignment);
+    }
+
+    #[test]
+    fn no_feasible_target_moves_nothing() {
+        let cfg = FfsVaConfig::default();
+        // instance 0 is overloaded (7), instance 1 is real-time (5) and so
+        // shows "spare capacity", but a sixth stream would overload it
+        let streams: Vec<StreamInput> = (0..12).map(|_| synthetic_input(300, 2)).collect();
+        let initial: Vec<usize> = (0..12).map(|i| usize::from(i >= 7)).collect();
+        let full = Engine::new(cfg, Mode::Online, on_instance(&streams, &initial, 1)).run();
+        assert!(has_spare_capacity(&full, &cfg));
+        let out = balance_instances_from(&cfg, &streams, 2, 48, initial.clone());
+        assert_eq!(out.reforwarded, 0);
+        assert_eq!(out.assignment, initial);
+        assert!(!out.all_realtime);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Experiment output helpers: aligned text tables for stdout and JSON files
 //! for `results/`.
 
-use ffsva_telemetry::PipelineDigest;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::fs;
@@ -84,12 +83,6 @@ pub fn write_csv(
     fs::write(dir.join(format!("{}.csv", name)), csv(headers, rows))
 }
 
-/// Render a [`PipelineDigest`] (the `BENCH.json` headline numbers) as an
-/// aligned text table: one row per stage plus the pipeline totals.
-pub fn digest_table(digest: &PipelineDigest) -> String {
-    table(&["metric", "fps", "drop rate", "queue p99"], &digest.rows())
-}
-
 /// Format a float with fixed precision, trimming noise.
 pub fn f1(v: f64) -> String {
     format!("{:.1}", v)
@@ -168,15 +161,5 @@ mod tests {
         assert_eq!(f1(1.26), "1.3");
         assert_eq!(f3(0.12345), "0.123");
         assert_eq!(ms(1500.0), "1.5");
-    }
-
-    #[test]
-    fn digest_table_has_a_row_per_stage_plus_totals() {
-        let t = digest_table(&PipelineDigest::default());
-        let lines: Vec<&str> = t.lines().collect();
-        // header + separator + 4 stages + pipeline row
-        assert_eq!(lines.len(), 7);
-        assert!(lines[2].starts_with("stage sdd"));
-        assert!(lines[6].starts_with("pipeline"));
     }
 }

@@ -1149,35 +1149,14 @@ impl RtEngine {
                     + u64::from(sdd_outcomes[s].restarts())
                     + u64::from(snm_outcomes[s].restarts());
                 ck.source_lost = bases[s].source_lost || reports[s].source_lost;
-                // Live counters already include the resumed base shares, so the
-                // stream scope copies over verbatim; the globals record this
-                // stream's share only.
-                let scope = format!("stream{}.", s);
-                for (name, v) in &snap.counters {
-                    if name.starts_with(&scope) {
-                        ck.counters.insert(name.clone(), *v);
-                    }
-                }
-                let base_in = bases[s]
-                    .counters
-                    .get("pipeline.frames_in")
-                    .copied()
-                    .unwrap_or(0);
-                ck.counters.insert(
-                    "pipeline.frames_in".to_string(),
-                    base_in + reports[s].stats.delivered,
-                );
-                for (name, live) in [
-                    ("src.reconnects", reports[s].reconnects),
-                    ("src.corrupt", reports[s].stats.corrupt),
-                    ("src.reorder_evictions", reports[s].stats.evicted),
-                    ("src.duplicates", reports[s].stats.duplicates),
-                ] {
-                    let base = bases[s].counters.get(name).copied().unwrap_or(0);
-                    if faulty || base > 0 {
-                        ck.counters.insert(name.to_string(), base + live);
-                    }
-                }
+                let r = &reports[s];
+                let src = faulty.then_some([
+                    r.reconnects,
+                    r.stats.corrupt,
+                    r.stats.evicted,
+                    r.stats.duplicates,
+                ]);
+                ck.bank_counters(&bases[s], &snap, r.stats.delivered, src);
                 write_stream_checkpoint(&spec.dir, &ck).expect("write checkpoint");
                 c_writes.inc();
                 h_age.record(start.elapsed().as_secs_f64() * 1e3);

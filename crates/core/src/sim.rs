@@ -933,18 +933,9 @@ impl Engine {
         self.write_checkpoint(&ck, now);
     }
 
-    /// Names of the ingest globals a stream banks its share of.
-    const SRC_GLOBALS: [&'static str; 4] = [
-        "src.reconnects",
-        "src.corrupt",
-        "src.reorder_evictions",
-        "src.duplicates",
-    ];
-
     /// Assemble one stream's checkpoint — the one place it is built: its
-    /// counter shares out of `snap` (scoped series verbatim, globals as this
-    /// stream's contribution so summing the per-stream checkpoints
-    /// reconstructs them), survivors, thresholds, and the source cursor.
+    /// counter shares out of `snap` ([`StreamCheckpoint::bank_counters`]),
+    /// survivors, thresholds, and the source cursor.
     fn build_checkpoint(&self, s: usize, snap: &TelemetrySnapshot) -> StreamCheckpoint {
         let st = &self.streams[s];
         let mut ck = StreamCheckpoint::fresh(s);
@@ -960,33 +951,11 @@ impl Engine {
         ck.thresholds = Some(st.input.thresholds);
         ck.restarts_used = st.base.restarts_used;
         ck.source_lost = st.source_lost();
-        let scope = format!("stream{}.", s);
-        for (name, v) in &snap.counters {
-            if name.starts_with(&scope) {
-                ck.counters.insert(name.clone(), *v);
-            }
-        }
-        ck.counters.insert(
-            "pipeline.frames_in".to_string(),
-            st.base
-                .counters
-                .get("pipeline.frames_in")
-                .copied()
-                .unwrap_or(0)
-                + st.next_idx as u64,
-        );
-        let live_src = st
+        let src = st
             .ingest
             .as_ref()
             .map(|p| [p.reconnects, p.corrupt, p.evicted, p.duplicates]);
-        for (i, name) in Self::SRC_GLOBALS.iter().enumerate() {
-            let base = st.base.counters.get(*name).copied();
-            let live = live_src.map(|v| v[i]);
-            if base.is_some() || live.is_some() {
-                ck.counters
-                    .insert((*name).to_string(), base.unwrap_or(0) + live.unwrap_or(0));
-            }
-        }
+        ck.bank_counters(&st.base, snap, st.next_idx as u64, src);
         ck
     }
 
@@ -1234,7 +1203,7 @@ impl Engine {
                 continue;
             }
             self.streams[s].snm_busy = true;
-            // Measured batch curve (ffsva bench --fit-cost) wins over the
+            // Measured batch curve (ffsva tune --fit-cost) wins over the
             // paper-calibrated constants when the config carries one.
             let spec = self.cfg.snm_cost_override.unwrap_or_else(snm_cost);
             let gpu = &mut self.filter_gpus[s % self.cfg.filter_gpus.max(1)];
@@ -2050,7 +2019,7 @@ mod tests {
                     uninterrupted.telemetry.frames_counters(),
                     "{tag}: segmented counters drifted"
                 );
-                for name in Engine::SRC_GLOBALS {
+                for name in crate::checkpoint::SRC_GLOBALS {
                     assert_eq!(
                         r.telemetry.counter(name),
                         uninterrupted.telemetry.counter(name),

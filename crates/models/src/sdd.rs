@@ -110,8 +110,7 @@ impl SddFilter {
     }
 
     /// [`Self::distance_small`] forced onto the scalar kernels — the SIMD
-    /// conformance reference and the `kernel.scalar_sdd_distance_us` bench
-    /// subject. Identical to `distance_small` on scalar builds.
+    /// conformance reference. Identical to `distance_small` on scalar builds.
     pub fn distance_small_scalar(&self, small: &[f32]) -> f32 {
         debug_assert_eq!(small.len(), self.reference.len());
         metric_distance_scalar(self.metric, small, &self.reference, self.ref_range)

@@ -14,8 +14,7 @@
 //! relaxed atomics, so instrumentation is cheap enough to stay always-on in
 //! the hot stage loops. [`TelemetrySnapshot`] freezes every series into
 //! serializable `BTreeMap`s (deterministic JSON key order), and
-//! [`PipelineDigest`] reduces a snapshot to the headline numbers the
-//! `ffsva bench` regression gate tracks.
+//! [`PipelineDigest`] reduces a snapshot to a run's headline numbers.
 //!
 //! Both engines emit the **same series names** (DESIGN.md §Telemetry), which
 //! is what makes a DES↔RT telemetry-conformance test possible: all counters
@@ -624,8 +623,8 @@ pub fn ndjson_line(ev: &FeedEvent) -> String {
 // ---------------------------------------------------------------------------
 // digest
 
-/// The headline numbers `ffsva bench` writes to `BENCH.json` and the CI
-/// regression gate compares against the committed baseline.
+/// A run's headline numbers, as `ffsva analyze --telemetry` and
+/// `ffsva simulate --telemetry` write them next to the full snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PipelineDigest {
     /// Frames entering the pipeline per second of run time.
@@ -685,41 +684,6 @@ impl PipelineDigest {
             latency_ref_p50_us: q("latency.ref_us", 0.5),
             latency_ref_p99_us: q("latency.ref_us", 0.99),
         }
-    }
-
-    /// Rows for an aligned table: one row per stage plus pipeline totals.
-    /// Headers: metric, fps, drop rate, queue p99 depth.
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        let mut rows = Vec::new();
-        for stage in STAGES {
-            rows.push(vec![
-                format!("stage {}", stage),
-                format!("{:.1}", self.stage_fps.get(stage).copied().unwrap_or(0.0)),
-                format!(
-                    "{:.1}%",
-                    100.0 * self.stage_drop_rate.get(stage).copied().unwrap_or(0.0)
-                ),
-                format!(
-                    "{:.0}",
-                    self.queue_depth_p99.get(stage).copied().unwrap_or(0.0)
-                ),
-            ]);
-        }
-        rows.push(vec![
-            "pipeline".into(),
-            format!("{:.1}", self.throughput_fps),
-            format!(
-                "e2e p50/p99 {:.1}/{:.1} ms",
-                self.latency_e2e_p50_us / 1e3,
-                self.latency_e2e_p99_us / 1e3
-            ),
-            format!(
-                "ref p50/p99 {:.1}/{:.1} ms",
-                self.latency_ref_p50_us / 1e3,
-                self.latency_ref_p99_us / 1e3
-            ),
-        ]);
-        rows
     }
 }
 
@@ -948,8 +912,6 @@ mod tests {
         assert_eq!(d.queue_depth_p99["sdd"], 0.0);
         assert_eq!(d.latency_e2e_p50_us, 1e3);
         assert_eq!(d.latency_e2e_p99_us, 40_000.0);
-        let rows = d.rows();
-        assert_eq!(rows.len(), STAGES.len() + 1);
     }
 
     #[test]

@@ -105,8 +105,9 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
 
 /// [`matmul_into`] forced onto the scalar inner kernel — always available,
 /// independent of the `simd` feature and CPU. This is the reference the
-/// SIMD conformance proptests and the `kernel.scalar_matmul_gflops` bench
-/// series compare against (on a scalar build it is exactly [`matmul_into`]).
+/// SIMD conformance proptests and the benchmark's
+/// `tensor.matmul_128_scalar_us` row compare against (on a scalar build it
+/// is exactly [`matmul_into`]).
 pub fn matmul_into_scalar(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     assert_eq!(a.rank(), 2, "matmul lhs must be rank 2");
     assert_eq!(b.rank(), 2, "matmul rhs must be rank 2");

@@ -11,8 +11,6 @@
 //!                latency, device utilization for N streams).
 //! * `capacity` — find how many live streams one instance sustains vs. the
 //!                YOLOv2 baseline (§4.3.1 / Fig. 6).
-//! * `bench`    — run the headline workload on both engines and write
-//!                `BENCH.json` (the CI performance-regression gate input).
 //! * `tune`     — cost-based cascade auto-tuning: search the knob space
 //!                against a calibration clip, rank feasible points by
 //!                DES-predicted FPS, and emit a blessable config
@@ -23,7 +21,6 @@
 //!                and crash-safe `--resume`.
 
 use ffs_va::core::accuracy::cascade_pass;
-use ffs_va::core::report::digest_table;
 use ffs_va::core::{
     drift_ablation, evaluate_accuracy, find_max_cluster_streams, find_max_online_streams,
     install_signal_drain, max_streams_by_threads, threads_for_streams, tune, AccuracyReport,
@@ -33,7 +30,7 @@ use ffs_va::models::reference::ReferenceModel;
 use ffs_va::models::sdd::SddFilter;
 use ffs_va::models::snm::{SnmReport, SnmTrainOptions};
 use ffs_va::models::tyolo::TinyYolo;
-use ffs_va::models::{fit_batch_curve, fit_batch_curve_checked, CostSpec, Scratch};
+use ffs_va::models::{fit_batch_curve_checked, Scratch};
 use ffs_va::prelude::*;
 use ffs_va::video::storage::{write_clip, ClipReader};
 use ffs_va::video::BackgroundKind;
@@ -92,9 +89,6 @@ from them; --stop-after N truncates each stream's input to simulate a kill.
 many streams fit the thread budget with pooled SDD/SNM workers vs. one
 thread per stream per stage. --instances N plans a whole fleet: the largest
 stream count N instances sustain with re-forwarding allowed to spread load.
-  ffsva bench    [--out <BENCH.json>] [--streams N] [--frames N]
-                 [--train-frames N] [--tor F] [--seed N] [--full] [--fit-cost]
-                 [--snm-precision f32|int8] [--tyolo-precision f32|int8]
 
   ffsva tune     [--out <TUNE.json>] [--bless <config.json>] [--streams N]
                  [--frames N] [--train-frames N] [--tor F] [--seed N] [--full]
@@ -133,10 +127,9 @@ pick). Fault plans (stage, instance, and source scope) drill the same
 failure modes as simulate.
 
 --snm-precision int8 runs SNM inference through the quantized int8 lowering
-(DESIGN.md §12) in simulate/capacity traces and in both bench engine legs;
-bench always reports the int8-vs-f32 scene-miss delta either way.
---tyolo-precision int8 routes the shared T-YOLO through its quantized
-counting path the same way, independently of the SNM knob.
+(DESIGN.md §12) in simulate/capacity traces. --tyolo-precision int8 routes
+the shared T-YOLO through its quantized counting path the same way,
+independently of the SNM knob.
 
 Object classes: car, bus, truck, person, dog, cat, bicycle.
 ";
@@ -166,7 +159,6 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         "analyze" => cmd_analyze(&mut args),
         "simulate" => cmd_simulate(&mut args),
         "capacity" => cmd_capacity(&mut args),
-        "bench" => cmd_bench(&mut args),
         "tune" => cmd_tune(&mut args),
         "serve" => cmd_serve(&mut args),
         "help" | "--help" | "-h" => {
@@ -1067,536 +1059,16 @@ fn cmd_capacity(args: &mut Args) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// bench
-
-/// One engine leg of the bench report.
-#[derive(Serialize)]
-struct BenchSection {
-    engine: &'static str,
-    streams: usize,
-    frames_per_stream: usize,
-    elapsed_s: f64,
-    digest: PipelineDigest,
-}
-
-/// The `BENCH.json` schema the CI gate (`scripts/bench_gate.py`) consumes.
-#[derive(Serialize)]
-struct BenchReport {
-    schema_version: u32,
-    workload: String,
-    seed: u64,
-    kernel: KernelBench,
-    stage: StageBench,
-    accuracy: AccuracyBench,
-    cluster: ClusterBench,
-    des: BenchSection,
-    rt: BenchSection,
-}
-
-/// Cluster control-plane series (`cluster.*`): a deterministic two-instance
-/// fleet with an injected `instance0:crash` mid-run, measuring the
-/// checkpoint-riding re-forward hand-over latency, plus the fleet planner's
-/// stream ceiling. Structural except for the hand-over latency, which is a
-/// real file-migration wall-time measurement.
-#[derive(Serialize)]
-struct ClusterBench {
-    /// Fleet size both series are reported at.
-    instances: usize,
-    /// Largest stream count the fleet sustains in real time (planner).
-    streams_sustained: f64,
-    /// Mean checkpoint hand-over latency across re-forwards (ms).
-    reforward_latency_ms: f64,
-    /// Successful re-forwards in the crash scenario.
-    reforwards: f64,
-    /// Streams that completed despite the crash (all offered must).
-    streams_completed: f64,
-}
-
-/// Fleet size the `cluster.*` series are reported at.
-const BENCH_CLUSTER_INSTANCES: usize = 2;
-/// Streams offered in the bench crash scenario.
-const BENCH_CLUSTER_STREAMS: usize = 2;
-
-/// Run the bench traces through a two-instance cluster that loses instance 0
-/// mid-run: every stream must complete by riding its checkpoint onto the
-/// survivor, and the hand-over latency lands in `cluster.reforward_latency_ms`.
-fn bench_cluster(
-    sys: &FfsVaConfig,
-    traces: &[FrameTrace],
-    th: StreamThresholds,
-) -> Result<ClusterBench, String> {
-    let input = StreamInput {
-        traces: traces.to_vec(),
-        thresholds: th,
-    };
-    let offers: Vec<StreamInput> = (0..BENCH_CLUSTER_STREAMS).map(|_| input.clone()).collect();
-    // three epochs per trace; the crash lands after one full epoch, so the
-    // dead instance's streams have checkpoints to ride
-    let epoch = (traces.len() as u64 / 3).max(1);
-    let crash = traces.len() as u64 / 2;
-    let plan = ClusterFaultPlan::parse(&format!("instance0:crash@{crash}"))
-        .map_err(|e| format!("cluster bench fault plan: {e}"))?;
-    let root = std::env::temp_dir().join(format!("ffsva_bench_cluster_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let cfg = ClusterConfig::new(BENCH_CLUSTER_INSTANCES, &root).with_epoch_frames(epoch);
-    let report = Cluster::new(*sys, cfg)
-        .with_fault_plan(&plan)
-        .run(offers)
-        .map_err(|e| format!("cluster bench run: {e}"))?;
-    let _ = std::fs::remove_dir_all(&root);
-
-    // Planner leg on a trace prefix: keeps the doubling search cheap on
-    // --full workloads while still pricing the real cascade costs.
-    let probe = StreamInput {
-        traces: traces[..traces.len().min(300)].to_vec(),
-        thresholds: th,
-    };
-    let sustained = find_max_cluster_streams(
-        sys,
-        BENCH_CLUSTER_INSTANCES,
-        |n| (0..n).map(|_| probe.clone()).collect(),
-        16,
-    );
-    Ok(ClusterBench {
-        instances: BENCH_CLUSTER_INSTANCES,
-        streams_sustained: sustained as f64,
-        reforward_latency_ms: report.reforward_latency_ms(),
-        reforwards: report.reforwards() as f64,
-        streams_completed: report.completed() as f64,
-    })
-}
-
-/// int8-vs-f32 cascade accuracy (`accuracy.*`): what the quantized SNM path
-/// costs in missed scenes on this bench workload. Informational series for
-/// the gate's diffing, but `int8_scene_miss_delta_pp` is also bounded
-/// in-process: the bench command itself fails when quantization loses more
-/// than [`INT8_SCENE_MISS_BOUND_PP`] percentage points of scenes, so the CI
-/// bench-gate job catches a quantization regression even before the
-/// baseline comparison runs.
-#[derive(Serialize)]
-struct AccuracyBench {
-    /// Significant-scene miss rate of the f32 cascade.
-    f32_scene_miss_rate: f64,
-    /// The same clip and thresholds with int8 SNM inference.
-    int8_scene_miss_rate: f64,
-    /// Delta in percentage points (int8 − f32); negative when int8 wins.
-    int8_scene_miss_delta_pp: f64,
-}
-
-/// Hard ceiling on the int8 scene-miss delta, in percentage points.
-const INT8_SCENE_MISS_BOUND_PP: f64 = 2.0;
-
-/// Kernel-level series (`kernel.*` dotted paths in `BENCH.json`).
-#[derive(Serialize)]
-struct KernelBench {
-    /// Blocked-GEMM throughput on a cache-warm 128x128x128 `matmul_into`
-    /// (the runtime-dispatched kernel — AVX2/FMA when built with `simd` on a
-    /// capable host, scalar otherwise).
-    matmul_gflops: f64,
-    /// The same workload forced down the scalar reference GEMM.
-    scalar_matmul_gflops: f64,
-    /// Alias of `matmul_gflops` under the name the SIMD gate pins: the
-    /// dispatched kernel *is* the SIMD kernel on a capable `--features simd`
-    /// build, and the scalar one elsewhere — so this series gates the path
-    /// actually shipped.
-    simd_matmul_gflops: f64,
-    /// One `im2col_into` pass on the SNM layer-1 geometry (1x50x50, k5 s2 p2).
-    im2col_us: f64,
-    /// One dispatched SDD MSE distance over a 100x100 downsample pair.
-    sdd_distance_us: f64,
-    /// The same distance on the scalar reference reduction.
-    sdd_distance_scalar_us: f64,
-    /// Whether the AVX2/FMA paths were live for the run.
-    simd_active: bool,
-}
-
-/// Stage-level series (`stage.*` dotted paths in `BENCH.json`).
-#[derive(Serialize)]
-struct StageBench {
-    snm: SnmStageBench,
-    pool: PoolStageBench,
-}
-
-/// Stream-hosting ceiling of the sharded stage pools (`stage.pool.*`):
-/// how many concurrent streams fit the thread budget with pooled SDD/SNM
-/// workers vs. one thread per stream per stage. Both are structural
-/// (deterministic planner output, not wall-clock measurements).
-#[derive(Serialize)]
-struct PoolStageBench {
-    /// Streams one instance hosts with sharded pools (the headline series).
-    streams_sustained: f64,
-    /// Streams the per-stream-thread layout hosts at the same budget.
-    streams_threaded: f64,
-    /// Workers per pooled stage used for the ceiling.
-    workers: usize,
-    thread_budget: usize,
-}
-
-/// Workers per pooled stage the `stage.pool.*` ceiling is reported at.
-const POOL_BENCH_WORKERS: usize = 8;
-
-fn bench_pool_ceiling() -> PoolStageBench {
-    let sys = FfsVaConfig::default();
-    let pooled = sys.with_pool_workers(POOL_BENCH_WORKERS, POOL_BENCH_WORKERS);
-    PoolStageBench {
-        streams_sustained: max_streams_by_threads(&pooled, DEFAULT_THREAD_BUDGET) as f64,
-        streams_threaded: max_streams_by_threads(&sys, DEFAULT_THREAD_BUDGET) as f64,
-        workers: POOL_BENCH_WORKERS,
-        thread_budget: DEFAULT_THREAD_BUDGET,
-    }
-}
-
-/// Measured SNM batch-forward throughput via `predict_batch_frames` — the
-/// exact entry point the RT batch stage calls.
-#[derive(Serialize)]
-struct SnmStageBench {
-    /// Frames/s at the headline batch size (`batch_size`).
-    batch_fps: f64,
-    /// Frames/s at batch size 1 (the pre-batching per-frame path).
-    batch1_fps: f64,
-    /// Frames/s at the headline batch size on the int8 quantized path
-    /// (`predict_batch_frames_int8`).
-    int8_fps: f64,
-    batch_size: usize,
-    /// Affine fit of the measured curve (`fit_batch_curve`); 0 when degenerate.
-    fitted_invoke_us: f64,
-    fitted_per_frame_us: f64,
-}
-
-/// Headline batch size the `stage.snm.batch_fps` series is reported at.
-const SNM_BENCH_BATCH: usize = 10;
-
-/// Measure raw kernel throughput for the hot primitives every cascade stage
-/// bottoms out in: the blocked GEMM (dispatched and scalar), the im2col
-/// lowering, and the SDD distance reduction (dispatched and scalar).
-fn bench_kernels() -> KernelBench {
-    use ffs_va::tensor::ops::{im2col_into, matmul_into, matmul_into_scalar, ConvGeom};
-    use ffs_va::tensor::simd::{sum_sq_diff, sum_sq_diff_scalar};
-    use ffs_va::tensor::Tensor;
-    use std::time::Instant;
-
-    let n = 128usize;
-    let fill = |seed: usize| -> Vec<f32> {
-        (0..n * n)
-            .map(|i| (((i * 31 + seed) % 17) as f32 - 8.0) * 0.1)
-            .collect()
-    };
-    let a = Tensor::from_vec(&[n, n], fill(1));
-    let b = Tensor::from_vec(&[n, n], fill(2));
-    let flops = |reps: usize, secs: f64| 2.0 * (n * n * n) as f64 * reps as f64 / secs / 1e9;
-    let mut out = Vec::new();
-    matmul_into(&a, &b, &mut out); // warm-up: allocates the output buffer
-    let reps = 40;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        matmul_into(&a, &b, &mut out);
-    }
-    let matmul_gflops = flops(reps, t0.elapsed().as_secs_f64());
-    matmul_into_scalar(&a, &b, &mut out); // warm-up
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        matmul_into_scalar(&a, &b, &mut out);
-    }
-    let scalar_matmul_gflops = flops(reps, t0.elapsed().as_secs_f64());
-
-    let geom = ConvGeom::new(50, 50, 5, 2, 2).expect("SNM layer-1 geometry");
-    let img: Vec<f32> = (0..50 * 50).map(|i| (i % 251) as f32 / 250.0).collect();
-    let mut cols = Vec::new();
-    im2col_into(&img, 1, geom, &mut cols); // warm-up
-    let reps = 400;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        im2col_into(&img, 1, geom, &mut cols);
-    }
-    let im2col_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-
-    // SDD distance on its real geometry: MSE between two 100x100 downsamples.
-    let side = ffs_va::models::SDD_SIZE;
-    let x: Vec<f32> = (0..side * side).map(|i| (i % 253) as f32 / 252.0).collect();
-    let y: Vec<f32> = (0..side * side).map(|i| (i % 241) as f32 / 240.0).collect();
-    let reps = 2000;
-    let mut sink = 0.0f32;
-    sink += sum_sq_diff(&x, &y); // warm-up
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink += sum_sq_diff(&x, &y);
-    }
-    let sdd_distance_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-    sink += sum_sq_diff_scalar(&x, &y);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink += sum_sq_diff_scalar(&x, &y);
-    }
-    let sdd_distance_scalar_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-    assert!(sink.is_finite());
-
-    KernelBench {
-        matmul_gflops,
-        scalar_matmul_gflops,
-        simd_matmul_gflops: matmul_gflops,
-        im2col_us,
-        sdd_distance_us,
-        sdd_distance_scalar_us,
-        simd_active: ffs_va::tensor::simd_active(),
-    }
-}
-
-/// Probe the trained SNM's real batch-latency curve through
-/// `predict_batch_frames` and fit the DES cost model to it.
-///
-/// Returns the stage series plus the fitted `CostSpec` (for `--fit-cost`).
-fn bench_snm_stage(snm: &mut SnmModel, clip: &[LabeledFrame]) -> (SnmStageBench, Option<CostSpec>) {
-    use std::time::Instant;
-
-    let mut scratch = Scratch::new();
-    let sizes = [1usize, 2, 5, SNM_BENCH_BATCH, 20, 30];
-    let mut samples: Vec<(usize, f64)> = Vec::new();
-    let (mut batch_fps, mut batch1_fps) = (0.0, 0.0);
-    for &size in &sizes {
-        let frames: Vec<&Frame> = (0..size).map(|i| &clip[i % clip.len()].frame).collect();
-        let _ = snm.predict_batch_frames(&frames, &mut scratch); // warm scratch
-        let reps = (64 / size).max(3);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let _ = snm.predict_batch_frames(&frames, &mut scratch);
-        }
-        let batch_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        samples.push((size, batch_us));
-        let fps = size as f64 * 1e6 / batch_us;
-        if size == 1 {
-            batch1_fps = fps;
-        }
-        if size == SNM_BENCH_BATCH {
-            batch_fps = fps;
-        }
-    }
-    // int8 leg at the headline batch size, through the quantized lowering.
-    let frames: Vec<&Frame> = (0..SNM_BENCH_BATCH)
-        .map(|i| &clip[i % clip.len()].frame)
-        .collect();
-    let _ = snm.predict_batch_frames_int8(&frames, &mut scratch); // build + warm
-    let reps = 16;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let _ = snm.predict_batch_frames_int8(&frames, &mut scratch);
-    }
-    let int8_fps = (SNM_BENCH_BATCH * reps) as f64 / t0.elapsed().as_secs_f64();
-
-    // Fit keeps the paper-calibrated resize/memory costs; only the invoke
-    // intercept and per-frame slope come from the measured curve.
-    let paper = ffs_va::models::snm_cost();
-    let fitted = fit_batch_curve(&samples, paper.resize_us, paper.mem_bytes);
-    let stage = SnmStageBench {
-        batch_fps,
-        batch1_fps,
-        int8_fps,
-        batch_size: SNM_BENCH_BATCH,
-        fitted_invoke_us: fitted.map_or(0.0, |s| s.invoke_us),
-        fitted_per_frame_us: fitted.map_or(0.0, |s| s.per_frame_us),
-    };
-    (stage, fitted)
-}
-
-/// Run the headline workload through both engines and write `BENCH.json`.
-///
-/// The DES leg runs N identical streams in virtual time, so its numbers are
-/// bit-deterministic for a fixed seed; the RT leg runs the real pixel models
-/// on one stream and measures wall time (the noisy, machine-dependent half —
-/// the gate's relative tolerance exists for it).
-fn cmd_bench(args: &mut Args) -> Result<(), String> {
-    let out = PathBuf::from(args.opt("out")?.unwrap_or_else(|| "BENCH.json".into()));
-    let full = args.flag("full");
-    let fit_cost = args.flag("fit-cost");
-    let precision = match args.opt("snm-precision")? {
-        Some(p) => parse_precision(&p)?,
-        None => Precision::F32,
-    };
-    let tyolo_precision = match args.opt("tyolo-precision")? {
-        Some(p) => parse_precision(&p)?,
-        None => Precision::F32,
-    };
-    let streams: usize = args.parsed("streams", 4)?;
-    let frames: usize = args.parsed("frames", if full { 2000 } else { 600 })?;
-    let train_frames: usize = args.parsed("train-frames", if full { 2200 } else { 900 })?;
-    let tor: f64 = args.parsed("tor", 0.3)?;
-    let seed: u64 = args.parsed("seed", 42)?;
-    if streams == 0 || frames == 0 {
-        return Err("--streams and --frames must be positive".into());
-    }
-
-    let cfg = if full {
-        let mut c = workloads::jackson();
-        c.seed = seed;
-        c
-    } else {
-        workloads::test_tiny(ObjectClass::Car, tor, seed)
-    };
-    let workload_name = cfg.name.clone();
-    let target = cfg.target;
-    let mut sys = FfsVaConfig::default()
-        .with_snm_precision(precision)
-        .with_tyolo_precision(tyolo_precision);
-    println!(
-        "bench: workload '{}' (train {} frames, bench {} frames; {} DES stream(s) + 1 RT stream)",
-        workload_name, train_frames, frames, streams
-    );
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut camera = VideoStream::new(0, cfg);
-    let training = camera.clip(train_frames);
-    let mut bank = FilterBank::build(&training, target, &bank_options(!full), &mut rng);
-    let clip = camera.clip(frames);
-    let traces = bank.trace_clip(&clip);
-    // The int8 trace differs only in snm_prob, so diffing the two accuracy
-    // reports isolates exactly what quantization costs the cascade.
-    let traces_int8 = bank.trace_clip_int8(&clip);
-
-    // Kernel + stage series come before the engine legs: the RT engine
-    // consumes the bank, so probe a clone of the trained SNM here.
-    let kernel = bench_kernels();
-    let mut probe_snm = bank.snm.clone();
-    let (snm_stage, fitted) = bench_snm_stage(&mut probe_snm, &clip);
-    println!();
-    println!(
-        "kernels: matmul {:.2} GFLOP/s (scalar {:.2}), im2col {:.1} us (SNM layer 1), \
-         sdd distance {:.2} us (scalar {:.2}) [simd {}]",
-        kernel.matmul_gflops,
-        kernel.scalar_matmul_gflops,
-        kernel.im2col_us,
-        kernel.sdd_distance_us,
-        kernel.sdd_distance_scalar_us,
-        if kernel.simd_active { "on" } else { "off" }
-    );
-    println!(
-        "snm stage: batch{} {:.0} fps vs batch1 {:.0} fps, int8 {:.0} fps \
-         (fit: invoke {:.0} us + {:.1} us/frame)",
-        snm_stage.batch_size,
-        snm_stage.batch_fps,
-        snm_stage.batch1_fps,
-        snm_stage.int8_fps,
-        snm_stage.fitted_invoke_us,
-        snm_stage.fitted_per_frame_us
-    );
-    let pool_stage = bench_pool_ceiling();
-    println!(
-        "pool stage: {:.0} stream(s) pooled vs {:.0} threaded at a {}-thread budget",
-        pool_stage.streams_sustained, pool_stage.streams_threaded, pool_stage.thread_budget
-    );
-    if fit_cost {
-        match fitted {
-            Some(spec) => {
-                println!("--fit-cost: DES SNM stage uses the measured batch curve");
-                sys = sys.with_snm_cost(spec);
-            }
-            None => println!("--fit-cost: degenerate batch curve, keeping calibrated costs"),
-        }
-    }
-
-    let th = StreamThresholds {
-        delta_diff: bank.sdd.delta_diff,
-        t_pre: bank.snm.t_pre(sys.filter_degree),
-        number_of_objects: sys.number_of_objects,
-    };
-
-    let acc_f32 = evaluate_accuracy(&traces, &th);
-    let acc_int8 = evaluate_accuracy(&traces_int8, &th);
-    let accuracy = AccuracyBench {
-        f32_scene_miss_rate: acc_f32.scene_miss_rate,
-        int8_scene_miss_rate: acc_int8.scene_miss_rate,
-        int8_scene_miss_delta_pp: (acc_int8.scene_miss_rate - acc_f32.scene_miss_rate) * 100.0,
-    };
-    println!(
-        "accuracy: scene miss f32 {:.4} vs int8 {:.4} (delta {:+.2} pp, bound {:.1} pp)",
-        accuracy.f32_scene_miss_rate,
-        accuracy.int8_scene_miss_rate,
-        accuracy.int8_scene_miss_delta_pp,
-        INT8_SCENE_MISS_BOUND_PP
-    );
-    if accuracy.int8_scene_miss_delta_pp > INT8_SCENE_MISS_BOUND_PP {
-        return Err(format!(
-            "int8 quantization misses {:.2} pp more scenes than f32 (bound {:.1} pp)",
-            accuracy.int8_scene_miss_delta_pp, INT8_SCENE_MISS_BOUND_PP
-        ));
-    }
-
-    let engine_traces = match precision {
-        Precision::F32 => &traces,
-        Precision::Int8 => &traces_int8,
-    };
-
-    let cluster = bench_cluster(&sys, engine_traces, th)?;
-    println!(
-        "cluster: {} instance(s) sustain {:.0} stream(s); crash scenario: \
-         {:.0}/{} streams completed via {:.0} re-forward(s), hand-over {:.3} ms",
-        cluster.instances,
-        cluster.streams_sustained,
-        cluster.streams_completed,
-        BENCH_CLUSTER_STREAMS,
-        cluster.reforwards,
-        cluster.reforward_latency_ms
-    );
-
-    let inputs: Vec<StreamInput> = (0..streams)
-        .map(|_| StreamInput {
-            traces: engine_traces.clone(),
-            thresholds: th,
-        })
-        .collect();
-    let des = Engine::new(sys, Mode::Offline, inputs).run();
-    let des_digest = PipelineDigest::from_snapshot(&des.telemetry, des.makespan_us);
-    println!();
-    println!("DES engine ({} stream(s), virtual time):", streams);
-    println!("{}", digest_table(&des_digest));
-
-    let rt = run_multi_pipeline_rt(vec![(clip, bank)], &sys);
-    let rt_digest = PipelineDigest::from_snapshot(&rt.telemetry, rt.wall_time_s * 1e6);
-    println!("RT engine (1 stream, wall time):");
-    println!("{}", digest_table(&rt_digest));
-
-    let report = BenchReport {
-        schema_version: 1,
-        workload: workload_name,
-        seed,
-        kernel,
-        stage: StageBench {
-            snm: snm_stage,
-            pool: pool_stage,
-        },
-        accuracy,
-        cluster,
-        des: BenchSection {
-            engine: "des",
-            streams,
-            frames_per_stream: frames,
-            elapsed_s: des.makespan_us / 1e6,
-            digest: des_digest,
-        },
-        rt: BenchSection {
-            engine: "rt",
-            streams: 1,
-            frames_per_stream: frames,
-            elapsed_s: rt.wall_time_s,
-            digest: rt_digest,
-        },
-    };
-    let json =
-        serde_json::to_string_pretty(&report).map_err(|e| format!("serialize bench: {}", e))?;
-    std::fs::write(&out, json).map_err(|e| format!("cannot write {}: {}", out.display(), e))?;
-    println!("bench report written to {}", out.display());
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // tune
 
-/// Probe the real SNM batch-latency curve (same sweep as bench). `--fit-cost`
-/// feeds this to `fit_batch_curve_checked` and only trusts the fit when its
-/// r² clears the `--min-r2` gate.
+/// Probe the real SNM batch-latency curve. `--fit-cost` feeds this to
+/// `fit_batch_curve_checked` and only trusts the fit when its r² clears the
+/// `--min-r2` gate.
 fn probe_snm_curve(snm: &mut SnmModel, clip: &[LabeledFrame]) -> Vec<(usize, f64)> {
     use std::time::Instant;
     let mut scratch = Scratch::new();
     let mut samples = Vec::new();
-    for &size in &[1usize, 2, 5, SNM_BENCH_BATCH, 20, 30] {
+    for &size in &[1usize, 2, 5, 10, 20, 30] {
         let frames: Vec<&Frame> = (0..size).map(|i| &clip[i % clip.len()].frame).collect();
         let _ = snm.predict_batch_frames(&frames, &mut scratch); // warm scratch
         let reps = (64 / size).max(3);

@@ -313,73 +313,6 @@ fn analyze_exports_telemetry_snapshot() {
     assert!(json["snapshot"]["histograms"]["latency.e2e_us"]["count"].is_number());
 }
 
-#[test]
-fn bench_writes_gate_ready_report() {
-    let dir = Scratch::new("bench");
-    let bench = dir.path("BENCH.json");
-    let out = ffsva(&[
-        "bench",
-        "--out",
-        bench.to_str().unwrap(),
-        "--streams",
-        "2",
-        "--frames",
-        "200",
-        "--train-frames",
-        "500",
-        "--seed",
-        "5",
-    ]);
-    assert_ok(&out, "bench");
-    let text = stdout(&out);
-    assert!(text.contains("DES engine"), "missing DES table:\n{}", text);
-    assert!(text.contains("RT engine"), "missing RT table:\n{}", text);
-
-    let json: serde_json::Value =
-        serde_json::from_slice(&std::fs::read(&bench).expect("BENCH.json written"))
-            .expect("BENCH.json is valid JSON");
-    assert_eq!(json["schema_version"], 1);
-    for engine in ["des", "rt"] {
-        let digest = &json[engine]["digest"];
-        for stage in ["sdd", "snm", "tyolo", "reference"] {
-            assert!(
-                digest["stage_fps"][stage].is_number(),
-                "{}: missing stage_fps.{}",
-                engine,
-                stage
-            );
-            assert!(digest["stage_drop_rate"][stage].is_number());
-            assert!(digest["queue_depth_p99"][stage].is_number());
-        }
-        assert!(digest["throughput_fps"].as_f64().unwrap() > 0.0);
-        assert!(digest["latency_e2e_p50_us"].is_number());
-        assert!(digest["latency_e2e_p99_us"].is_number());
-    }
-    // the DES leg saw 2 streams x 200 frames
-    let des_frames = json["des"]["digest"]["throughput_fps"].as_f64().unwrap()
-        * json["des"]["elapsed_s"].as_f64().unwrap();
-    assert!(
-        (des_frames - 400.0).abs() < 1e-6,
-        "DES leg counted {} frames, expected 400",
-        des_frames
-    );
-
-    // acceptance (DESIGN.md §11): the pooled layout hosts at least 4x the
-    // per-stream-thread stream count, reported as stage.pool.streams_sustained
-    let sustained = json["stage"]["pool"]["streams_sustained"]
-        .as_f64()
-        .expect("stage.pool.streams_sustained missing");
-    let threaded = json["stage"]["pool"]["streams_threaded"]
-        .as_f64()
-        .expect("stage.pool.streams_threaded missing");
-    assert!(
-        sustained >= 4.0 * threaded,
-        "pools sustain {} streams, need >= 4x the threaded {}",
-        sustained,
-        threaded
-    );
-}
-
 /// `tune` end to end: TUNE.json + blessed config + drift ablation written,
 /// and a second identical invocation produces a byte-identical report.
 #[test]
@@ -538,10 +471,13 @@ fn capacity_pooled_reports_thread_ceiling() {
 
 #[test]
 fn bad_arguments_exit_nonzero_with_usage() {
-    let out = ffsva(&["frobnicate"]);
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    // `bench` is not a subcommand: measuring is the repo benchmark's job
+    // (`benchmark/`), not the operator CLI's
+    for unknown in ["frobnicate", "bench"] {
+        let out = ffsva(&[unknown]);
+        assert_eq!(out.status.code(), Some(2), "{unknown}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    }
 
     // missing required option
     let out = ffsva(&["record", "--workload", "test"]);

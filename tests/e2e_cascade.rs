@@ -132,7 +132,7 @@ fn des_and_rt_engines_agree_on_survivor_set() {
 /// `rt.` prefixes aside) and report bit-identical values for every
 /// deterministic frame-count series. Time-valued series (latencies, blocked
 /// time, queue depths) legitimately differ — virtual vs. wall clock — but
-/// must exist under the same names so dashboards and the bench gate read
+/// must exist under the same names so dashboards and the repo benchmark read
 /// either engine interchangeably.
 #[test]
 fn des_and_rt_engines_emit_conformant_telemetry() {

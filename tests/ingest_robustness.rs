@@ -2,7 +2,9 @@
 //! backoff, reorder smoothing, SourceLost degradation, and crash-safe
 //! checkpoint/resume — exercised on both engines and compared bit-for-bit.
 
-use ffs_va::core::{CheckpointSpec, Engine, Mode, StreamInput, StreamThresholds};
+use ffs_va::core::{
+    load_stream_checkpoint, CheckpointSpec, Engine, Mode, StreamInput, StreamThresholds,
+};
 use ffs_va::models::reference::ReferenceModel;
 use ffs_va::models::sdd::SddFilter;
 use ffs_va::models::snm::{SnmModel, SnmReport, SnmTrainOptions};
@@ -14,7 +16,8 @@ use ffs_va::prelude::{
 use ffs_va::video::workloads;
 use proptest::prelude::*;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const FRAMES: u64 = 400;
@@ -301,6 +304,95 @@ fn des_and_rt_agree_on_ingest_accounting() {
         assert_eq!(t.counter("stream0.src.frames_in"), FRAMES);
         assert_eq!(t.counter("stream1.src.frames_quarantined"), 1);
     }
+}
+
+/// What a stream's checkpoint banks that both engines must agree on: its
+/// frame counters and its shares of the `pipeline.frames_in` and `src.*`
+/// globals (time- and schedule-valued series legitimately differ).
+fn banked(dir: &Path, s: usize) -> BTreeMap<String, u64> {
+    load_stream_checkpoint(dir, s)
+        .expect("readable checkpoint")
+        .expect("checkpoint written")
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.contains(".frames_") || name.starts_with("src."))
+        .collect()
+}
+
+/// Both engines bank the same counter shares per stream, keys and values:
+/// after a segment under source faults, and after a resumed segment with
+/// no source plan, which must keep the `src.*` keys it was seeded with —
+/// also the ones whose banked value is 0.
+#[test]
+fn des_and_rt_bank_the_same_counter_shares_across_a_resume() {
+    const SRC: [&str; 4] = [
+        "src.reconnects",
+        "src.corrupt",
+        "src.reorder_evictions",
+        "src.duplicates",
+    ];
+    let cfg = FfsVaConfig::default();
+    // faults on stream 0 only: stream 1 banks every `src.*` share as 0
+    let at = |k: u64| base_seq(0) + k;
+    let plan = SourceFaultPlan::new()
+        .with(
+            0,
+            SourceFault::DropRange {
+                from: at(10),
+                to: at(13),
+            },
+        )
+        .with(0, SourceFault::CorruptAt { at_frame: at(20) })
+        .with(0, SourceFault::DuplicateAt { at_frame: at(30) });
+    let (dir_rt, dir_des) = (tmp_dir("bank_rt"), tmp_dir("bank_des"));
+    let spec = |dir: &Path, resume| CheckpointSpec::new(dir, u64::MAX, resume);
+    let agree = |segment: &str| {
+        for s in 0..2 {
+            let (rt, des) = (banked(&dir_rt, s), banked(&dir_des, s));
+            assert_eq!(rt, des, "{segment}: stream {s} banks differ");
+            assert!(des["pipeline.frames_in"] > 0);
+            for name in SRC {
+                assert!(des.contains_key(name), "{segment}: stream {s} lost {name}");
+            }
+        }
+        assert_eq!(banked(&dir_des, 0)["src.corrupt"], 1);
+        assert_eq!(banked(&dir_des, 1)["src.corrupt"], 0);
+    };
+
+    // segment 1: killed after 250 frames per stream, under the plan
+    let (mut cut_rt, mut cut_des) = (rt_streams(), des_inputs(&cfg));
+    for (clip, _) in &mut cut_rt {
+        clip.truncate(250);
+    }
+    for input in &mut cut_des {
+        input.traces.truncate(250);
+    }
+    let _ = RtEngine::new(cfg, cut_rt)
+        .with_source_plan(&plan)
+        .with_checkpoint(spec(&dir_rt, false))
+        .run();
+    let _ = Engine::new(cfg, Mode::Offline, cut_des)
+        .with_source_plan(&plan)
+        .with_checkpoint(spec(&dir_des, false))
+        .run();
+    agree("faulted segment");
+    let after_cut = banked(&dir_des, 0)["pipeline.frames_in"];
+
+    // segment 2: resumed over the full inputs with a pristine source
+    let _ = RtEngine::new(cfg, rt_streams())
+        .with_checkpoint(spec(&dir_rt, true))
+        .run();
+    let _ = Engine::new(cfg, Mode::Offline, des_inputs(&cfg))
+        .with_checkpoint(spec(&dir_des, true))
+        .run();
+    agree("resumed segment");
+    assert_eq!(
+        banked(&dir_des, 0)["pipeline.frames_in"],
+        after_cut + FRAMES - 250
+    );
+
+    let _ = std::fs::remove_dir_all(&dir_rt);
+    let _ = std::fs::remove_dir_all(&dir_des);
 }
 
 // Random source-fault plans: every unique frame must be classified exactly

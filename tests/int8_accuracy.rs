@@ -4,8 +4,7 @@
 //! the same evaluation clip through the f32 and int8 SNM execution paths,
 //! and bounds how much quantization may move the cascade's headline
 //! accuracy number: the missed-scene rate may not degrade by more than
-//! 2 percentage points (the same bound `ffsva bench` enforces in-process
-//! and the bench-gate pins via the `accuracy.*` series).
+//! 2 percentage points. This test is the only holder of that bound.
 //!
 //! CI runs this file on both the scalar and `--features simd` builds; the
 //! int8 kernels are exact on both (see tests/simd_conformance.rs), so the

@@ -31,9 +31,6 @@ fn default_reorder_buffer() -> usize {
 fn default_checkpoint_interval_frames() -> u64 {
     256
 }
-fn default_pool_workers() -> usize {
-    0
-}
 fn default_precision() -> Precision {
     Precision::F32
 }
@@ -129,17 +126,6 @@ pub struct FfsVaConfig {
     /// Checkpoint cadence in source frames when a checkpoint dir is set.
     #[serde(default = "default_checkpoint_interval_frames")]
     pub checkpoint_interval_frames: u64,
-    /// SDD worker threads when the RT engine runs on sharded stage pools.
-    /// `0` (the default) keeps the original one-thread-per-stream-per-stage
-    /// layout; any non-zero pool field switches *both* filter stages to
-    /// pooled execution, clamping each pool to at least one worker.
-    /// Serde-defaulted so configs written before the pool refactor still
-    /// deserialize.
-    #[serde(default = "default_pool_workers")]
-    pub pool_workers_sdd: usize,
-    /// SNM worker threads under pooled execution (see `pool_workers_sdd`).
-    #[serde(default = "default_pool_workers")]
-    pub pool_workers_snm: usize,
     /// Measured SNM cost curve overriding the paper's calibrated
     /// [`ffsva_models::snm_cost`] in the DES engine — fit from the real
     /// kernel's batch-latency samples (`ffsva tune --fit-cost`) via
@@ -189,8 +175,6 @@ impl Default for FfsVaConfig {
             source_backoff_cap_ms: default_source_backoff_cap_ms(),
             reorder_buffer: default_reorder_buffer(),
             checkpoint_interval_frames: default_checkpoint_interval_frames(),
-            pool_workers_sdd: default_pool_workers(),
-            pool_workers_snm: default_pool_workers(),
             snm_cost_override: None,
             snm_precision: default_precision(),
             tyolo_precision: default_precision(),
@@ -271,21 +255,6 @@ impl FfsVaConfig {
     pub fn with_tyolo_precision(mut self, p: Precision) -> Self {
         self.tyolo_precision = p;
         self
-    }
-
-    /// Builder-style setter for sharded stage-pool worker counts. Any
-    /// non-zero value switches the RT engine's SDD and SNM stages to pooled
-    /// execution.
-    pub fn with_pool_workers(mut self, sdd: usize, snm: usize) -> Self {
-        self.pool_workers_sdd = sdd;
-        self.pool_workers_snm = snm;
-        self
-    }
-
-    /// Whether the RT engine should run SDD/SNM on sharded worker pools
-    /// instead of one thread per stream per stage.
-    pub fn pooled(&self) -> bool {
-        self.pool_workers_sdd > 0 || self.pool_workers_snm > 0
     }
 
     /// The reconnect policy the ingest workers apply on disconnect.
@@ -374,25 +343,17 @@ mod tests {
         assert_eq!(c.source_backoff_cap_ms, 1000);
         assert_eq!(c.reorder_buffer, 8);
         assert_eq!(c.checkpoint_interval_frames, 256);
-        // pre-pool configs fall back to per-stream threads
-        assert_eq!(c.pool_workers_sdd, 0);
-        assert_eq!(c.pool_workers_snm, 0);
-        assert!(!c.pooled());
     }
 
     #[test]
-    fn pool_workers_round_trip_and_gate_pooled_mode() {
-        let c = FfsVaConfig::default();
-        assert!(!c.pooled());
-        let c = c.with_pool_workers(8, 4);
-        assert!(c.pooled());
-        let json = serde_json::to_string(&c).unwrap();
-        let back: FfsVaConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.pool_workers_sdd, 8);
-        assert_eq!(back.pool_workers_snm, 4);
-        // either stage's pool alone flips the engine into pooled mode
-        assert!(FfsVaConfig::default().with_pool_workers(0, 2).pooled());
-        assert!(FfsVaConfig::default().with_pool_workers(2, 0).pooled());
+    fn retired_pool_worker_fields_are_ignored() {
+        // configs written while the stage executor was a user-set option
+        // still load; the engine derives the worker count itself
+        let json = serde_json::to_string(&FfsVaConfig::default()).unwrap();
+        assert!(!json.contains("pool_workers"));
+        let old = json.replacen('{', r#"{"pool_workers_sdd":8,"pool_workers_snm":4,"#, 1);
+        let c: FfsVaConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&c).unwrap(), json);
     }
 
     #[test]

@@ -77,40 +77,39 @@ pub(crate) fn max_sustained(upper_bound: usize, ok: impl Fn(usize) -> bool) -> u
 }
 
 /// OS threads one FFS-VA process can realistically dedicate to pipeline
-/// stages before scheduler churn and stack memory dominate — the planning
-/// budget behind `ffsva capacity --pooled`.
+/// stages before scheduler churn and stack memory dominate.
 pub const DEFAULT_THREAD_BUDGET: usize = 256;
 
-/// Threads the RT engine needs to host `n` concurrent streams under the
-/// layout `cfg` selects.
-///
-/// * Per-stream-thread layout: each stream owns an SDD thread, an SNM
-///   thread, their two supervisor monitor threads, and a reference-stage
-///   thread (5 per stream), plus the one shared T-YOLO thread.
-/// * Pooled layout (`cfg.pooled()`): the SDD and SNM pools hold a fixed
-///   worker count regardless of stream count, supervision is folded into
-///   the workers (no monitor threads), so only the reference stage still
-///   scales per stream, plus the shared T-YOLO.
-///
-/// Feeder/ingest threads are workload-shaped identically in both layouts
-/// and cancel out of the ratio, so they are left out of the model.
-pub fn threads_for_streams(cfg: &FfsVaConfig, n: usize) -> usize {
-    if cfg.pooled() {
-        cfg.pool_workers_sdd.max(1) + cfg.pool_workers_snm.max(1) + 1 + n
+/// Workers per stage pool once a dedicated worker per stream no longer fits
+/// [`DEFAULT_THREAD_BUDGET`].
+const SHARED_STAGE_WORKERS: usize = 8;
+
+/// Workers the RT engine gives its SDD pool, and its SNM pool, for `n`
+/// streams: `n` — a dedicated worker per stream that blocks on its queue,
+/// §3.1.2's thread per filter — while the dedicated demand `3 n + 1` (SDD
+/// worker, SNM worker and reference thread per stream, plus the shared
+/// T-YOLO) fits [`DEFAULT_THREAD_BUDGET`]; a fixed few sweeping every
+/// stream's slot above that.
+pub fn stage_workers(n: usize) -> usize {
+    if 3 * n + 1 <= DEFAULT_THREAD_BUDGET {
+        n
     } else {
-        5 * n + 1
+        SHARED_STAGE_WORKERS
     }
 }
 
-/// The largest stream count whose thread demand fits `budget` under the
-/// layout `cfg` selects — the instance's structural stream ceiling.
-pub fn max_streams_by_threads(cfg: &FfsVaConfig, budget: usize) -> usize {
-    if cfg.pooled() {
-        let fixed = cfg.pool_workers_sdd.max(1) + cfg.pool_workers_snm.max(1) + 1;
-        budget.saturating_sub(fixed)
-    } else {
-        budget.saturating_sub(1) / 5
-    }
+/// Threads the RT engine needs to host `n` concurrent streams: the two stage
+/// pools' workers, a reference-stage thread per stream, and the one shared
+/// T-YOLO thread. Feeder/ingest threads are workload-shaped and left out of
+/// the model.
+pub fn threads_for_streams(n: usize) -> usize {
+    2 * stage_workers(n) + n + 1
+}
+
+/// The largest stream count whose thread demand fits
+/// [`DEFAULT_THREAD_BUDGET`] — the instance's structural stream ceiling.
+pub fn max_streams_by_threads() -> usize {
+    DEFAULT_THREAD_BUDGET - (2 * SHARED_STAGE_WORKERS + 1)
 }
 
 /// Where a newly offered stream ended up.
@@ -832,19 +831,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_thread_ceiling_is_at_least_4x_per_stream_threads() {
-        let threaded = FfsVaConfig::default();
-        let pooled = FfsVaConfig::default().with_pool_workers(8, 8);
-        let t = max_streams_by_threads(&threaded, DEFAULT_THREAD_BUDGET);
-        let p = max_streams_by_threads(&pooled, DEFAULT_THREAD_BUDGET);
-        assert_eq!(t, 51, "5 threads/stream + shared tyolo under 256");
-        assert_eq!(p, 239, "8+8 pool workers + shared tyolo under 256");
-        assert!(p >= 4 * t, "pooled {} vs threaded {}", p, t);
-        // the demand model and the ceiling agree at the boundary
-        assert!(threads_for_streams(&threaded, t) <= DEFAULT_THREAD_BUDGET);
-        assert!(threads_for_streams(&threaded, t + 1) > DEFAULT_THREAD_BUDGET);
-        assert!(threads_for_streams(&pooled, p) <= DEFAULT_THREAD_BUDGET);
-        assert!(threads_for_streams(&pooled, p + 1) > DEFAULT_THREAD_BUDGET);
+    fn stage_workers_are_dedicated_while_they_fit_the_thread_budget() {
+        // 3 n + 1 <= 256 up to n = 85: a worker per stream per stage
+        assert_eq!(stage_workers(1), 1);
+        assert_eq!(stage_workers(30), 30, "the paper's instance");
+        assert_eq!(stage_workers(85), 85);
+        assert_eq!(threads_for_streams(85), DEFAULT_THREAD_BUDGET);
+        // above that, 8 + 8 shared workers and only the reference per stream
+        assert_eq!(stage_workers(86), 8);
+        let ceiling = max_streams_by_threads();
+        assert_eq!(ceiling, 239);
+        for n in 1..=ceiling {
+            assert!(threads_for_streams(n) <= DEFAULT_THREAD_BUDGET, "n = {n}");
+        }
+        assert!(threads_for_streams(ceiling + 1) > DEFAULT_THREAD_BUDGET);
     }
 
     #[test]

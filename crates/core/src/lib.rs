@@ -79,8 +79,8 @@ pub use ffsva_sched::{
 pub use ffsva_telemetry::{PipelineDigest, Telemetry, TelemetrySnapshot};
 pub use instance::{
     balance_instances, balance_instances_from, find_max_online_streams, has_spare_capacity,
-    is_overloaded, max_streams_by_threads, threads_for_streams, AdmissionController, Placement,
-    DEFAULT_THREAD_BUDGET,
+    is_overloaded, max_streams_by_threads, stage_workers, threads_for_streams, AdmissionController,
+    Placement, DEFAULT_THREAD_BUDGET,
 };
 pub use rt_engine::{run_multi_pipeline_rt, MultiRtResult, RtEngine, StreamHealth, SurvivingFrame};
 pub use serve::{

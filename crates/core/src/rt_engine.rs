@@ -8,21 +8,20 @@
 //! There is one engine, [`RtEngine`], configured with the same builder the
 //! DES [`Engine`](crate::sim::Engine) has; a single stream is a one-element
 //! `streams` vector. Each per-stream stage body (SDD verdict, SNM batch
-//! verdict) is written once over per-stream state and run by either
-//! scheduling layout — a supervised thread per stream per stage, or a slot
-//! in a sharded worker pool.
+//! verdict) is written once over per-stream state and runs as a slot of the
+//! one stage executor, `ffsva_sched::pool`.
 
 use crate::checkpoint::{load_all, write_stream_checkpoint, CheckpointSpec, StreamCheckpoint};
 use crate::config::{FfsVaConfig, Precision, StreamThresholds};
+use crate::instance::stage_workers;
 use crate::tune::{DriftConfig, DriftDetector};
 use ffsva_models::bank::FilterBank;
 use ffsva_models::tyolo::TinyYolo;
 use ffsva_models::{Scratch, SddFilter, SnmModel};
 use ffsva_sched::{
-    spawn_batch_stage_faulted, spawn_filter_stage_faulted, spawn_stage_pool, supervise,
-    BatchPolicy, DegradePolicy, FaultAction, FaultInjector, FaultPlan, FaultStage, FeedbackQueue,
-    IngestCore, IngestOutput, IngestStats, PoolPolicy, PoolSlot, StageFailure, StageFaultCtx,
-    StageOutcome, SupervisedStage, SupervisorPolicy, SupervisorTelemetry, WatchEntry, Watchdog,
+    spawn_filter_stage_faulted, spawn_stage_pool, DegradePolicy, FaultAction, FaultInjector,
+    FaultPlan, FaultStage, FeedbackQueue, IngestCore, IngestOutput, IngestStats, PoolPolicy,
+    PoolSlot, StageFaultCtx, StageOutcome, SupervisorTelemetry, WatchEntry, Watchdog,
 };
 use ffsva_telemetry::{
     Counter, Histogram, PoolTelemetry, QueueTelemetry, StageTelemetry, Telemetry,
@@ -48,8 +47,8 @@ pub(crate) fn elapsed_us(since: Instant) -> f64 {
 }
 
 /// Lock per-stream stage state. A panic inside a model call (contained by
-/// the stage's `catch_unwind`) poisons the mutex, but every update below
-/// leaves the state valid at each step, so the next incarnation recovers the
+/// the executor's `catch_unwind`) poisons the mutex, but every update below
+/// leaves the state valid at each step, so the restarted stage recovers the
 /// guard and carries on.
 fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
     state.lock().unwrap_or_else(|e| e.into_inner())
@@ -231,9 +230,8 @@ impl DriftWatch {
 }
 
 /// One stream's SDD model and, under [`RtEngine::with_drift`], its drift
-/// watch. Shared by every incarnation of the stage in either layout, so a
-/// rebuilt reference survives supervisor restarts and is what the final
-/// checkpoint records.
+/// watch. Shared between the stage and the engine, so a rebuilt reference
+/// is what the final checkpoint records.
 struct SddState {
     sdd: SddFilter,
     watch: Option<DriftWatch>,
@@ -278,7 +276,7 @@ impl SnmRecal {
     /// The threshold frame `seq` is judged against: `t_pre`, re-derived once
     /// for every shift the SDD declared at an earlier frame. Keyed on the
     /// frame, not on when the SNM stage happens to run, so the survivor set
-    /// is independent of batch shape and layout. The re-derived threshold
+    /// is independent of batch shape and worker count. The re-derived threshold
     /// preserves the pre-shift pass rate — the matching quantile of the
     /// recent probability distribution — lowering-only and floored at
     /// `c_low`, so recall cannot regress from threshold motion.
@@ -313,8 +311,8 @@ impl SnmRecal {
 }
 
 /// One stream's SNM model, its running threshold and, under
-/// [`RtEngine::with_drift`], the recalibration window — shared across
-/// incarnations and layouts like [`SddState`].
+/// [`RtEngine::with_drift`], the recalibration window — shared with the
+/// engine like [`SddState`].
 struct SnmState {
     snm: SnmModel,
     t_pre: f32,
@@ -347,151 +345,16 @@ impl SnmState {
     }
 }
 
-/// A per-stream stage computation: the quantum's frames in (exactly one for
-/// a filter stage, a formed batch for a batch stage), the survivors out.
-/// The scratch belongs to whoever runs the body — a stage thread's
-/// incarnation or a pool worker — which cannot affect results: the models'
-/// outputs are scratch-shape-independent.
-type StageBody = Arc<dyn Fn(Vec<InFlight>, &mut Scratch) -> Vec<InFlight> + Send + Sync>;
-
-/// One stream's supervised SDD or SNM stage, described once and run by
-/// either layout: the same queues, accounting, fault context and body.
-struct StreamStage {
-    /// `"sdd"` / `"snm"`: with the stream id, the stage name injected-panic
-    /// payloads render (`stage \`sdd-3\` at frame seq N`) in both layouts.
-    name: &'static str,
-    stream: usize,
-    input: FeedbackQueue<InFlight>,
-    /// `outputs[0]` is the primary downstream, closed on clean exit or
-    /// give-up; alternate routes are owned elsewhere.
-    outputs: Vec<FeedbackQueue<InFlight>>,
-    route: Arc<dyn Fn(&InFlight) -> usize + Send + Sync>,
-    /// `Some` for the batch-forming SNM, `None` for the 1-in/≤1-out SDD.
-    batch: Option<BatchPolicy>,
-    tel: StageTelemetry,
-    sup_tel: SupervisorTelemetry,
-    inj: FaultInjector,
-    lat: Histogram,
-    body: StageBody,
-}
-
-impl StreamStage {
-    /// Fault state plus the disposal hooks: a frame the stage cannot
-    /// forward still gets its end-to-end latency sample.
-    fn fault_ctx(&self) -> StageFaultCtx<InFlight, InFlight> {
-        let (lat_q, lat_l) = (self.lat.clone(), self.lat.clone());
-        StageFaultCtx {
-            inj: self.inj.clone(),
-            seq_in: Box::new(|(_, lf)| lf.frame.seq),
-            seq_out: Box::new(|(_, lf)| lf.frame.seq),
-            on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
-            on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
-        }
-    }
-
-    /// Pooled layout: the stage as a slot of a sharded worker pool.
-    fn into_slot(self) -> PoolSlot<InFlight, InFlight, Scratch> {
-        let ctx = self.fault_ctx();
-        let (route, body) = (self.route, self.body);
-        PoolSlot {
-            stream: self.stream,
-            input: self.input,
-            outputs: self.outputs,
-            route: Box::new(move |out| route(out)),
-            batch: self.batch,
-            tel: self.tel,
-            sup_tel: self.sup_tel,
-            ctx,
-            work: Box::new(move |items, scratch| body(items, scratch)),
-        }
-    }
-
-    /// Threaded layout: the stage as its own thread under a supervisor that
-    /// re-attaches a fresh incarnation to the same queues and state.
-    fn supervise(self, policy: SupervisorPolicy) -> SupervisedStage {
-        let name = format!("{}-{}", self.name, self.stream);
-        let sup_tel = self.sup_tel.clone();
-        let give_up = {
-            let (q_in, q_down) = (self.input.clone(), self.outputs[0].clone());
-            let (tel, lat) = (self.tel.clone(), self.lat.clone());
-            move |_: &StageFailure| {
-                // Quarantine-drain everything still arriving (the feeder
-                // closes the queue when the clip ends), then release
-                // downstream so the rest of the cascade can finish.
-                while let Some((t0, _)) = q_in.pop() {
-                    tel.frames_quarantined.inc();
-                    lat.record(elapsed_us(t0));
-                }
-                q_down.close();
-            }
-        };
-        let stage_name = name.clone();
-        let factory = move || {
-            let ctx = self.fault_ctx();
-            let body = Arc::clone(&self.body);
-            let mut scratch = Scratch::new();
-            match self.batch {
-                None => spawn_filter_stage_faulted(
-                    stage_name.clone(),
-                    self.input.clone(),
-                    self.outputs[0].clone(),
-                    self.tel.clone(),
-                    ctx,
-                    move |item| body(vec![item], &mut scratch).pop(),
-                ),
-                Some(batch_policy) => {
-                    let route = Arc::clone(&self.route);
-                    spawn_batch_stage_faulted(
-                        stage_name.clone(),
-                        self.input.clone(),
-                        self.outputs.clone(),
-                        move |out| route(out),
-                        batch_policy,
-                        self.tel.clone(),
-                        ctx,
-                        move |batch| body(batch, &mut scratch),
-                    )
-                }
-            }
-        };
-        supervise(name, policy, sup_tel, factory, give_up)
-    }
-}
-
-/// Start every stream's SDD (or SNM) stage in one layout — a sharded pool of
-/// `pool_workers` threads hosting each stage as a slot, or with `None` a
-/// supervised thread per stream — and return the join, which yields the
-/// per-stream outcomes in stream order either way.
-fn start_stages(
-    name: &str,
-    pool_workers: Option<usize>,
-    policy: SupervisorPolicy,
-    stages: Vec<StreamStage>,
-    tel: &Telemetry,
-) -> Box<dyn FnOnce() -> Vec<StageOutcome>> {
-    match pool_workers {
-        Some(workers) => {
-            let workers = workers.max(1);
-            let pool = spawn_stage_pool(
-                name,
-                PoolPolicy {
-                    workers,
-                    restart_budget: policy.restart_budget,
-                    backoff: policy.backoff,
-                },
-                stages.into_iter().map(StreamStage::into_slot).collect(),
-                (0..workers).map(|_| Scratch::new()).collect(),
-                PoolTelemetry::register(tel, &format!("rt.pool.{}", name)),
-            );
-            Box::new(move || pool.join())
-        }
-        None => {
-            let sups: Vec<SupervisedStage> = stages
-                .into_iter()
-                .map(|stage| stage.supervise(policy))
-                .collect();
-            Box::new(move || sups.into_iter().map(SupervisedStage::join).collect())
-        }
+/// Fault state plus the disposal hooks of a per-stream stage: a frame the
+/// stage cannot forward still gets its end-to-end latency sample.
+fn fault_ctx(inj: FaultInjector, lat: &Histogram) -> StageFaultCtx<InFlight, InFlight> {
+    let (lat_q, lat_l) = (lat.clone(), lat.clone());
+    StageFaultCtx {
+        inj,
+        seq_in: Box::new(|(_, lf)| lf.frame.seq),
+        seq_out: Box::new(|(_, lf)| lf.frame.seq),
+        on_quarantine: Box::new(move |(t0, _)| lat_q.record(elapsed_us(t0))),
+        on_lost: Box::new(move |(t0, _)| lat_l.record(elapsed_us(t0))),
     }
 }
 
@@ -503,14 +366,13 @@ fn start_stages(
 /// survivors to per-stream reference stages. Each bank is consumed: its
 /// models move into the stream's stages, exactly one owner per filter.
 ///
-/// When `cfg.pool_workers_sdd`/`cfg.pool_workers_snm` are non-zero the
-/// per-stream SDD/SNM threads are replaced by two sharded worker pools
-/// (`ffsva_sched::pool`): N workers per stage serve every stream's slot,
-/// per-stream FIFO preserved by exclusive slot ownership, supervision
-/// (restart budget, backoff, give-up quarantine) replicated per stream.
-/// The layouts differ in scheduling only — both run the same stage bodies —
-/// and survivor sets, frame counters, and checkpoints are bit-identical
-/// across them (`tests/pool_conformance.rs`).
+/// Every stream's SDD stage is a slot of one `ffsva_sched::pool` stage
+/// pool and every SNM stage a slot of another, each with
+/// [`stage_workers`]`(n_streams)` workers: a dedicated worker per stream
+/// that blocks on its queue while the per-stream threads fit the process,
+/// a fixed few sweeping every slot above that. The worker count moves
+/// scheduling only — survivor sets, frame counters, and checkpoints are
+/// bit-identical across it (`tests/pool_conformance.rs`).
 ///
 /// Every per-stream stage runs under supervision (restart budget
 /// `cfg.restart_budget`, exponential backoff from `cfg.restart_backoff_ms`),
@@ -524,6 +386,7 @@ pub struct RtEngine {
     src_plan: SourceFaultPlan,
     ckpt: Option<CheckpointSpec>,
     drift: Option<DriftConfig>,
+    stage_workers: Option<usize>,
 }
 
 /// Run `streams` through an [`RtEngine`] with nothing attached: no faults,
@@ -545,6 +408,7 @@ impl RtEngine {
             src_plan: SourceFaultPlan::default(),
             ckpt: None,
             drift: None,
+            stage_workers: None,
         }
     }
 
@@ -604,6 +468,14 @@ impl RtEngine {
         self
     }
 
+    /// Test seam: run the SDD and the SNM stage pool on `workers` threads
+    /// each instead of [`stage_workers`]`(n_streams)`, so a handful of
+    /// streams can exercise the shared sweep.
+    pub fn with_stage_workers(mut self, workers: usize) -> Self {
+        self.stage_workers = Some(workers.max(1));
+        self
+    }
+
     pub fn run(self) -> MultiRtResult {
         let RtEngine {
             cfg,
@@ -612,6 +484,7 @@ impl RtEngine {
             src_plan,
             ckpt,
             drift,
+            stage_workers: workers,
         } = self;
         let ckpt = ckpt.as_ref();
         let start = Instant::now();
@@ -619,7 +492,8 @@ impl RtEngine {
         let num_tyolo = cfg.num_tyolo.max(1);
         // any-motion semantics for 0, matching `FrameTrace::tyolo_pass`
         let number_of_objects = cfg.number_of_objects;
-        let sup_policy = SupervisorPolicy {
+        let pool_policy = PoolPolicy {
+            workers: workers.unwrap_or_else(|| stage_workers(n_streams)),
             restart_budget: cfg.restart_budget,
             backoff: Duration::from_millis(cfg.restart_backoff_ms),
         };
@@ -674,10 +548,9 @@ impl RtEngine {
         // frames then route straight to the reference queue.
         let bypass = Arc::new(AtomicBool::new(false));
 
-        let pooled = cfg.pooled();
         let mut total = 0u64;
-        let mut sdd_stages = Vec::new();
-        let mut snm_stages = Vec::new();
+        let mut sdd_slots = Vec::new();
+        let mut snm_slots = Vec::new();
         // The per-stream stage state, kept for the final checkpoint.
         let mut models: Vec<(Arc<Mutex<SddState>>, Arc<Mutex<SnmState>>)> = Vec::new();
         let mut feeders: Vec<std::thread::JoinHandle<SourceReport>> = Vec::new();
@@ -712,8 +585,8 @@ impl RtEngine {
             if shared_tyolo.is_none() {
                 shared_tyolo = Some(Arc::new(tyolo));
             }
-            // Shared ownership so every restarted incarnation attaches to the
-            // *same* models, window and running threshold. The `drift.*`
+            // Shared with this function, which reads the models, window and
+            // running threshold back for the final checkpoint. The `drift.*`
             // series exist (at zero) whenever recalibration is attached.
             let shifts = ShiftLog::default();
             let sdd_state = Arc::new(Mutex::new(SddState {
@@ -745,23 +618,21 @@ impl RtEngine {
             tyolo_injs.push(plan.injector(s, FaultStage::TYolo));
 
             // --- supervised SDD stage (CPU in the paper) ---
-            sdd_stages.push(StreamStage {
-                name: "sdd",
+            sdd_slots.push(PoolSlot {
                 stream: s,
                 input: q_sdd.clone(),
                 outputs: vec![q_snm.clone()],
-                route: Arc::new(|_| 0),
+                route: Box::new(|_| 0),
                 batch: None,
                 tel: StageTelemetry::register(&tel, &format!("stream{}.sdd", s)),
                 sup_tel: SupervisorTelemetry::register(
                     &tel,
                     &format!("rt.supervisor.stream{}.sdd", s),
                 ),
-                inj: plan.injector(s, FaultStage::Sdd),
-                lat: lat_e2e.clone(),
-                body: {
+                ctx: fault_ctx(plan.injector(s, FaultStage::Sdd), &lat_e2e),
+                work: {
                     let lat = lat_e2e.clone();
-                    Arc::new(move |mut items, scratch| {
+                    Box::new(move |mut items: Vec<InFlight>, scratch: &mut Scratch| {
                         let (t0, lf) = items.pop().expect("one frame per SDD quantum");
                         if lock(&sdd_state).passes(&lf.frame, scratch) {
                             items.push((t0, lf));
@@ -774,18 +645,16 @@ impl RtEngine {
             });
 
             // --- supervised SNM stage with batch formation (GPU-0) ---
-            // Batch composition differs between layouts (the pool bulk-pops),
-            // but the batched SNM forward is bit-identical to per-frame
-            // inference, so the survivor set cannot move; `snm.batches` is
-            // name-conformant only, never value-compared.
-            snm_stages.push(StreamStage {
-                name: "snm",
+            // The batched SNM forward is bit-identical to per-frame
+            // inference, so batch composition cannot move the survivor set;
+            // `snm.batches` is name-conformant only, never value-compared.
+            snm_slots.push(PoolSlot {
                 stream: s,
                 input: q_snm,
                 outputs: vec![q_tyolo.clone(), q_ref.clone()],
                 route: {
                     let bypass = Arc::clone(&bypass);
-                    Arc::new(move |_| usize::from(bypass.load(Ordering::Relaxed)))
+                    Box::new(move |_| usize::from(bypass.load(Ordering::Relaxed)))
                 },
                 batch: Some(cfg.batch_policy),
                 tel: StageTelemetry::register(&tel, &format!("stream{}.snm", s)),
@@ -793,13 +662,12 @@ impl RtEngine {
                     &tel,
                     &format!("rt.supervisor.stream{}.snm", s),
                 ),
-                inj: plan.injector(s, FaultStage::Snm),
-                lat: lat_e2e.clone(),
-                body: {
+                ctx: fault_ctx(plan.injector(s, FaultStage::Snm), &lat_e2e),
+                work: {
                     let lat = lat_e2e.clone();
                     let batches = c_batches.clone();
                     let precision = cfg.snm_precision;
-                    Arc::new(move |batch, scratch| {
+                    Box::new(move |batch: Vec<InFlight>, scratch: &mut Scratch| {
                         batches.inc();
                         let frames: Vec<&Frame> = batch.iter().map(|(_, lf)| &lf.frame).collect();
                         let verdicts = lock(&snm_state).passes(&frames, precision, scratch);
@@ -982,15 +850,16 @@ impl RtEngine {
             }));
         }
 
-        // The scheduling fork, and the only one: a pool's worker count when
-        // pooled (names match the threaded stage-name prefixes), `None` for a
-        // supervised thread per stream.
-        let [join_sdd, join_snm] = [
-            ("sdd", cfg.pool_workers_sdd, sdd_stages),
-            ("snm", cfg.pool_workers_snm, snm_stages),
-        ]
-        .map(|(name, workers, stages)| {
-            start_stages(name, pooled.then_some(workers), sup_policy, stages, &tel)
+        // One pool per stage; their names are the stage-name prefixes
+        // failures and injected-panic payloads carry (`sdd-3`).
+        let [sdd_pool, snm_pool] = [("sdd", sdd_slots), ("snm", snm_slots)].map(|(name, slots)| {
+            spawn_stage_pool(
+                name,
+                pool_policy,
+                slots,
+                (0..pool_policy.workers).map(|_| Scratch::new()).collect(),
+                PoolTelemetry::register(&tel, &format!("rt.pool.{}", name)),
+            )
         });
 
         // The single shared T-YOLO thread.
@@ -1115,7 +984,7 @@ impl RtEngine {
             .into_iter()
             .map(|f| f.join().expect("feeder"))
             .collect();
-        let (sdd_outcomes, snm_outcomes) = (join_sdd(), join_snm());
+        let (sdd_outcomes, snm_outcomes) = (sdd_pool.join(), snm_pool.join());
         let tyolo_n = tyolo_handle.join().expect("tyolo thread");
         let ref_n: u64 = ref_handles
             .into_iter()

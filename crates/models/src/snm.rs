@@ -592,7 +592,9 @@ mod tests {
     /// the end-to-end version of `batch_prediction_matches_single`.
     #[test]
     fn rt_batch_stage_matches_per_frame_prediction() {
-        use ffsva_sched::{spawn_batch_stage, BatchPolicy, FeedbackQueue};
+        use ffsva_sched::{
+            spawn_stage_pool, BatchPolicy, FeedbackQueue, PoolPolicy, PoolSlot, PoolTelemetry,
+        };
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut m = SnmModel::architecture(ObjectClass::Car, &mut rng);
@@ -603,30 +605,37 @@ mod tests {
         let input: FeedbackQueue<(u64, Frame)> = FeedbackQueue::new(64);
         let output: FeedbackQueue<(u64, f32)> = FeedbackQueue::new(64);
         let mut worker = m.clone();
-        let handle = spawn_batch_stage(
+        let pool = spawn_stage_pool(
             "snm-test",
-            input.clone(),
-            output.clone(),
-            BatchPolicy::Static { size: 8 },
-            {
-                let mut scratch = Scratch::new();
-                move |batch: Vec<(u64, Frame)>| {
+            PoolPolicy {
+                workers: 1,
+                restart_budget: 0,
+                backoff: std::time::Duration::ZERO,
+            },
+            vec![PoolSlot::plain(
+                input.clone(),
+                output.clone(),
+                Some(BatchPolicy::Static { size: 8 }),
+                move |batch: Vec<(u64, Frame)>, scratch: &mut Scratch| {
                     let frames: Vec<&Frame> = batch.iter().map(|(_, f)| f).collect();
-                    let probs = worker.predict_batch_frames(&frames, &mut scratch);
+                    let probs = worker.predict_batch_frames(&frames, scratch);
                     batch
                         .iter()
                         .zip(probs)
                         .map(|(&(idx, _), p)| (idx, p))
                         .collect()
-                }
-            },
+                },
+            )],
+            vec![Scratch::new()],
+            PoolTelemetry::noop(),
         );
         for (i, lf) in clip.iter().enumerate() {
             input.push((i as u64, lf.frame.clone())).unwrap();
         }
         input.close();
-        let processed = handle.join().expect("snm stage");
-        assert_eq!(processed, clip.len() as u64);
+        let outcomes = pool.join();
+        assert!(!outcomes[0].gave_up(), "snm stage");
+        assert_eq!(outcomes[0].processed(), clip.len() as u64);
 
         let mut got = Vec::new();
         while let Some(pair) = output.pop() {

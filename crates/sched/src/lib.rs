@@ -9,15 +9,17 @@
 //! * [`queue`] — bounded feedback queues (simulation + threaded flavours).
 //! * [`batch`] — static / feedback / dynamic batch policies (§4.3.2).
 //! * [`des`] — deterministic discrete-event core (virtual clock).
-//! * [`rt`] — real threaded pipeline stages over blocking feedback queues,
-//!   panic-isolated via `catch_unwind`.
+//! * [`rt`] — the unsupervised filter-stage thread over blocking feedback
+//!   queues, panic-isolated via `catch_unwind`, and the per-item step every
+//!   executor shares.
 //! * [`fault`] — deterministic seq-keyed fault plans both engines honour.
 //! * [`ingest`] — reorder gating, duplicate suppression, and corrupt-frame
 //!   quarantine for frames arriving from unreliable sources.
-//! * [`pool`] — sharded stage-worker pools: N workers serving hundreds of
-//!   per-stream slots with per-stream FIFO and supervision semantics intact.
-//! * [`supervisor`] — stage restart with backoff, watchdog stall detection,
-//!   degradation policies.
+//! * [`pool`] — the one executor of supervised per-stream stages: a worker
+//!   per slot that blocks on its input, or a few workers sweeping many
+//!   slots; per-stream FIFO, restart budget, backoff and give-up either way.
+//! * [`supervisor`] — the backoff curve, stage outcomes, watchdog stall
+//!   detection, degradation policies.
 //! * [`stats`] — latency/throughput accounting.
 //!
 //! ```
@@ -66,11 +68,9 @@ pub use ingest::{GateEvent, IngestCore, IngestGate, IngestOutput, IngestStats};
 pub use pool::{spawn_stage_pool, PoolPolicy, PoolSlot, StagePool};
 pub use queue::{FeedbackQueue, QueueStats, SimQueue};
 pub use rt::{
-    spawn_batch_stage, spawn_batch_stage_faulted, spawn_filter_stage, spawn_filter_stage_faulted,
-    StageFailure, StageFaultCtx, StageHandle,
+    spawn_filter_stage, spawn_filter_stage_faulted, StageFailure, StageFaultCtx, StageHandle,
 };
 pub use stats::{LatencyStats, Throughput};
 pub use supervisor::{
-    backoff_delay, supervise, DegradePolicy, StageOutcome, SupervisedStage, SupervisorPolicy,
-    WatchEntry, Watchdog, MAX_BACKOFF,
+    backoff_delay, DegradePolicy, StageOutcome, WatchEntry, Watchdog, MAX_BACKOFF,
 };

@@ -2,18 +2,19 @@
 //! filter are associated with an independent thread").
 //!
 //! Stages communicate through [`FeedbackQueue`]s; a bounded queue blocking
-//! its producer *is* the paper's feedback mechanism. These helpers spawn the
-//! per-filter worker threads and implement batch draining per
-//! [`BatchPolicy`].
+//! its producer *is* the paper's feedback mechanism. This module holds the
+//! unsupervised 1-in/≤1-out stage thread ([`spawn_filter_stage_faulted`]:
+//! the engine's reference stage) and what every stage executor shares with
+//! it: the per-item [`filter_step`], the fault context and the failure
+//! value. Supervised per-stream stages, batching ones included, run in
+//! [`pool`](crate::pool).
 //!
-//! Every worker body runs inside `catch_unwind`: a panicking filter function
+//! The worker body runs inside `catch_unwind`: a panicking filter function
 //! (or an injected [`FaultInjector`] panic) is contained to its own stage.
 //! [`StageHandle::join`] reports the failure as a [`StageFailure`] value
-//! instead of re-panicking, and — crucially for supervision — a panicked
-//! stage does **not** close its output queue, so a restarted incarnation can
-//! re-attach to the same queues without losing in-flight frames.
+//! instead of re-panicking, and a panicked stage does **not** close its
+//! output queue.
 
-use crate::batch::BatchPolicy;
 use crate::fault::{FaultAction, FaultInjector, INJECTED_PANIC};
 use crate::queue::FeedbackQueue;
 use ffsva_telemetry::StageTelemetry;
@@ -23,8 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// A stage thread died by panic. Carries what the stage had done so far so
-/// a supervisor can keep cumulative accounting across restarts.
+/// A stage died by panic. Carries what the stage had done so far.
 #[derive(Debug, Clone)]
 pub struct StageFailure {
     /// Stage name as given at spawn time.
@@ -59,11 +59,12 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The cells a worker body keeps current for its [`StageHandle`].
+/// The cells a stage keeps current while it runs: a [`StageHandle`]'s, or a
+/// pool slot's.
 #[derive(Clone, Default)]
-struct Meters {
-    processed: Arc<AtomicU64>,
-    busy_ns: Arc<AtomicU64>,
+pub(crate) struct Meters {
+    pub(crate) processed: Arc<AtomicU64>,
+    pub(crate) busy_ns: Arc<AtomicU64>,
     progress: Arc<AtomicU64>,
 }
 
@@ -77,8 +78,7 @@ pub struct StageHandle {
 
 /// Run `body` as the stage thread `name`, inside `catch_unwind`. A clean
 /// return closes `primary` so downstream drains and stops; a panic is kept
-/// for [`StageHandle::join`] and leaves `primary` open, so a supervisor can
-/// re-attach a replacement.
+/// for [`StageHandle::join`] and leaves `primary` open.
 fn spawn_worker<O, B>(name: String, primary: FeedbackQueue<O>, body: B) -> StageHandle
 where
     O: Send + 'static,
@@ -174,7 +174,7 @@ pub struct StageFaultCtx<I, O> {
 }
 
 impl<I, O> StageFaultCtx<I, O> {
-    /// A context that never fires — used by the plain spawns.
+    /// A context that never fires — used by the plain spawn and plain slots.
     pub fn noop() -> Self {
         StageFaultCtx {
             inj: FaultInjector::noop(),
@@ -184,12 +184,88 @@ impl<I, O> StageFaultCtx<I, O> {
             on_lost: Box::new(|_| {}),
         }
     }
+
+    /// Consult the injector for `item`, about to be processed. A stall fires
+    /// inline (sleep, then proceed — the heartbeat freezes, which the
+    /// watchdog sees); `Some(seq)` means the stage must die at this frame.
+    pub(crate) fn panic_seq(&self, item: &I) -> Option<u64> {
+        let seq = (self.seq_in)(item);
+        match self.inj.check(seq) {
+            FaultAction::Panic => Some(seq),
+            FaultAction::Stall(us) => {
+                thread::sleep(Duration::from_micros(us));
+                None
+            }
+            FaultAction::Proceed => None,
+        }
+    }
+
+    /// Dispose a frame its stage will not process.
+    pub(crate) fn quarantine(&mut self, tel: &StageTelemetry, item: I) {
+        tel.frames_quarantined.inc();
+        (self.on_quarantine)(item);
+    }
+
+    /// `out` passed its stage: hand it back for forwarding, unless the
+    /// injector loses this push — then it is disposed through `on_lost`.
+    pub(crate) fn survives_push(&mut self, out: O) -> Option<O> {
+        if self.inj.fail_push((self.seq_out)(&out)) {
+            (self.on_lost)(out);
+            None
+        } else {
+            Some(out)
+        }
+    }
 }
 
-fn injected_panic(stage: &str, seq: u64) -> ! {
+/// Die as stage `stage` at frame `seq`: the one payload an injected panic
+/// carries, whichever executor contains it.
+pub(crate) fn injected_panic(stage: &str, seq: u64) -> ! {
     std::panic::panic_any(format!(
         "{INJECTED_PANIC}: stage `{stage}` at frame seq {seq}"
     ))
+}
+
+/// One item through a filter stage, in the order every executor keeps:
+/// fault check → accounting → work → forward. Returns `false` once
+/// `forward` reports the downstream closed.
+///
+/// Per item the injector decides: `Proceed` (normal), `Stall(us)` (sleep,
+/// then process normally), or `Panic` (the frame is accounted
+/// `frames_quarantined`, disposed through `on_quarantine`, and the step
+/// unwinds — as a panic inside `f` does — into the caller's `catch_unwind`).
+/// A passing frame the injector marks `fail_push` is accounted
+/// `frames_dropped` and disposed through `on_lost` instead of being
+/// forwarded.
+pub(crate) fn filter_step<I, O>(
+    stage: &str,
+    item: I,
+    tel: &StageTelemetry,
+    ctx: &mut StageFaultCtx<I, O>,
+    m: &Meters,
+    f: impl FnOnce(I) -> Option<O>,
+    forward: impl FnOnce(O) -> Result<(), O>,
+) -> bool {
+    if let Some(seq) = ctx.panic_seq(&item) {
+        ctx.quarantine(tel, item);
+        injected_panic(stage, seq);
+    }
+    m.processed.fetch_add(1, Ordering::Relaxed);
+    tel.frames_in.inc();
+    let t0 = Instant::now();
+    let result = f(item);
+    m.busy_ns
+        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let mut open = true;
+    match result.and_then(|out| ctx.survives_push(out)) {
+        Some(out) => {
+            tel.frames_out.inc();
+            open = forward(out).is_ok();
+        }
+        None => tel.frames_dropped.inc(),
+    }
+    m.progress.fetch_add(1, Ordering::Relaxed);
+    open
 }
 
 /// Spawn a 1-in/1-out filter stage: pops items until the input closes, maps
@@ -218,15 +294,8 @@ where
 
 /// [`spawn_filter_stage`] with per-stage frame accounting — every popped
 /// item counts as `frames_in`, a `Some` result as `frames_out`, a `None` as
-/// `frames_dropped` — plus deterministic fault injection.
-///
-/// Per popped frame the injector decides: `Proceed` (normal), `Stall(us)`
-/// (sleep, then process normally — the heartbeat freezes, which the watchdog
-/// sees), or `Panic` (the frame is accounted `frames_quarantined`, disposed
-/// through `on_quarantine`, and the worker panics *without* closing its
-/// output, so a supervisor can re-attach a replacement). A passing frame the
-/// injector marks `fail_push` is accounted `frames_dropped` and disposed
-/// through `on_lost` instead of being forwarded.
+/// `frames_dropped` — plus deterministic fault injection ([`filter_step`]).
+/// A panic, injected or real, ends the thread *without* closing its output.
 pub fn spawn_filter_stage_faulted<I, O, F>(
     name: impl Into<String>,
     input: FeedbackQueue<I>,
@@ -242,197 +311,10 @@ where
 {
     spawn_worker(name.into(), output.clone(), move |stage, m| {
         while let Some(item) = input.pop() {
-            let seq = (ctx.seq_in)(&item);
-            match ctx.inj.check(seq) {
-                FaultAction::Panic => {
-                    tel.frames_quarantined.inc();
-                    (ctx.on_quarantine)(item);
-                    injected_panic(stage, seq);
-                }
-                FaultAction::Stall(us) => thread::sleep(Duration::from_micros(us)),
-                FaultAction::Proceed => {}
-            }
-            m.processed.fetch_add(1, Ordering::Relaxed);
-            tel.frames_in.inc();
-            let t0 = Instant::now();
-            let result = f(item);
-            m.busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            match result {
-                Some(out) => {
-                    if ctx.inj.fail_push((ctx.seq_out)(&out)) {
-                        tel.frames_dropped.inc();
-                        (ctx.on_lost)(out);
-                    } else {
-                        tel.frames_out.inc();
-                        if output.push(out).is_err() {
-                            break; // downstream closed
-                        }
-                    }
-                }
-                None => tel.frames_dropped.inc(),
-            }
-            m.progress.fetch_add(1, Ordering::Relaxed);
-        }
-    })
-}
-
-/// Spawn a batching stage: drains its input according to `policy` and hands
-/// whole batches to `f`, which returns the items to forward. Partial batches
-/// are flushed when the input closes.
-pub fn spawn_batch_stage<I, O, F>(
-    name: impl Into<String>,
-    input: FeedbackQueue<I>,
-    output: FeedbackQueue<O>,
-    policy: BatchPolicy,
-    f: F,
-) -> StageHandle
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(Vec<I>) -> Vec<O> + Send + 'static,
-{
-    spawn_batch_stage_faulted(
-        name,
-        input,
-        vec![output],
-        |_| 0,
-        policy,
-        StageTelemetry::noop(),
-        StageFaultCtx::noop(),
-        f,
-    )
-}
-
-/// [`spawn_batch_stage`] with per-stage frame accounting — batch members
-/// count as `frames_in`, forwarded results as `frames_out`, and, since a
-/// batch stage is a filter over its batch, the shortfall as
-/// `frames_dropped` — plus fault injection and output routing.
-///
-/// `route` picks, per forwarded item, which queue in `outputs` receives it —
-/// this is how the `Bypass` degradation policy diverts SNM-positive frames
-/// straight to the reference queue. On clean exit only `outputs[0]` (the
-/// primary downstream) is closed; alternate routes are owned elsewhere.
-///
-/// When the injector fires `Panic` inside a popped batch, the pre-fault
-/// prefix is processed and forwarded as a normal (smaller) batch first, then
-/// the faulting frame and every other frame already popped behind it is
-/// accounted `frames_quarantined` and disposed through `on_quarantine`
-/// before the worker panics. Because queues are per-stream FIFO, the set of
-/// frames each side of the fault boundary is independent of batch shape —
-/// which is what keeps the DES and RT engines' faulted counters identical.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_batch_stage_faulted<I, O, F, R>(
-    name: impl Into<String>,
-    input: FeedbackQueue<I>,
-    outputs: Vec<FeedbackQueue<O>>,
-    mut route: R,
-    policy: BatchPolicy,
-    tel: StageTelemetry,
-    mut ctx: StageFaultCtx<I, O>,
-    mut f: F,
-) -> StageHandle
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(Vec<I>) -> Vec<O> + Send + 'static,
-    R: FnMut(&O) -> usize + Send + 'static,
-{
-    assert!(!outputs.is_empty(), "batch stage needs at least one output");
-    let capacity = input.capacity();
-    spawn_worker(name.into(), outputs[0].clone(), move |stage, m| {
-        let mut buf: Vec<I> = Vec::new();
-        let mut closed = false;
-        'run: loop {
-            // Decide how many items this batch needs.
-            let want = loop {
-                if closed {
-                    break buf.len(); // flush whatever remains
-                }
-                if let Some(take) = policy.take(buf.len(), capacity) {
-                    break take;
-                }
-                // Need more items: wait briefly for one.
-                match input.pop_timeout(Duration::from_millis(2)) {
-                    Ok(Some(it)) => buf.push(it),
-                    Ok(None) => closed = true,
-                    Err(()) => {
-                        // Timed out. Dynamic policy never reaches here
-                        // with a non-empty buffer; static/feedback keep
-                        // waiting for a full batch.
-                    }
-                }
-            };
-            if want == 0 {
-                if closed {
-                    break 'run;
-                }
-                continue;
-            }
-            let mut batch: Vec<I> = buf.drain(..want.min(buf.len())).collect();
-            if batch.is_empty() {
-                if closed {
-                    break 'run;
-                }
-                continue;
-            }
-            // Scan for the first panic fault; stalls fire inline.
-            let mut panic_idx: Option<(usize, u64)> = None;
-            for (i, item) in batch.iter().enumerate() {
-                let seq = (ctx.seq_in)(item);
-                match ctx.inj.check(seq) {
-                    FaultAction::Panic => {
-                        panic_idx = Some((i, seq));
-                        break;
-                    }
-                    FaultAction::Stall(us) => thread::sleep(Duration::from_micros(us)),
-                    FaultAction::Proceed => {}
-                }
-            }
-            let doomed: Vec<I> = match panic_idx {
-                Some((i, _)) => batch.split_off(i),
-                None => Vec::new(),
-            };
-            if !batch.is_empty() {
-                let n_in = batch.len() as u64;
-                m.processed.fetch_add(n_in, Ordering::Relaxed);
-                tel.frames_in.add(n_in);
-                let t0 = Instant::now();
-                let outs = f(std::mem::take(&mut batch));
-                m.busy_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                let mut forwarded = 0u64;
-                for out in outs {
-                    if ctx.inj.fail_push((ctx.seq_out)(&out)) {
-                        (ctx.on_lost)(out);
-                    } else {
-                        let dst = route(&out).min(outputs.len() - 1);
-                        if outputs[dst].push(out).is_err() {
-                            break 'run;
-                        }
-                        forwarded += 1;
-                    }
-                }
-                tel.frames_out.add(forwarded);
-                tel.frames_dropped.add(n_in - forwarded);
-                m.progress.fetch_add(n_in, Ordering::Relaxed);
-            }
-            if let Some((_, seq)) = panic_idx {
-                // Quarantine everything already popped past the fault
-                // boundary, then die. The input queue itself stays
-                // intact for the supervisor's give-up drain.
-                let nq = (doomed.len() + buf.len()) as u64;
-                tel.frames_quarantined.add(nq);
-                for it in doomed {
-                    (ctx.on_quarantine)(it);
-                }
-                for it in buf.drain(..) {
-                    (ctx.on_quarantine)(it);
-                }
-                injected_panic(stage, seq);
-            }
-            if closed && buf.is_empty() {
-                break 'run;
+            if !filter_step(stage, item, &tel, &mut ctx, m, &mut f, |out| {
+                output.push(out)
+            }) {
+                break; // downstream closed
             }
         }
     })
@@ -482,15 +364,13 @@ mod tests {
             StageFaultCtx::noop(),
             |x: i32| if x % 2 == 0 { Some(x) } else { None },
         );
-        let h2 = spawn_batch_stage_faulted(
+        let h2 = spawn_filter_stage_faulted(
             "gt4",
             mid,
-            vec![output.clone()],
-            |_| 0,
-            BatchPolicy::Dynamic { size: 4 },
+            output.clone(),
             StageTelemetry::register(&tel, "stream0.snm"),
             StageFaultCtx::noop(),
-            |batch: Vec<i32>| batch.into_iter().filter(|&x| x > 4).collect(),
+            |x: i32| if x > 4 { Some(x) } else { None },
         );
         for i in 0..10 {
             input.push(i).unwrap();
@@ -561,60 +441,6 @@ mod tests {
         assert_eq!(got.len(), 50);
         assert_eq!(got[0], -1);
         assert_eq!(got[49], -50);
-    }
-
-    #[test]
-    fn dynamic_batch_stage_flushes_promptly() {
-        let input = FeedbackQueue::new(16);
-        let output = FeedbackQueue::new(64);
-        let h = spawn_batch_stage(
-            "sum",
-            input.clone(),
-            output.clone(),
-            BatchPolicy::Dynamic { size: 8 },
-            |batch: Vec<i32>| vec![batch.len() as i32],
-        );
-        for i in 0..20 {
-            input.push(i).unwrap();
-        }
-        input.close();
-        let mut total = 0;
-        let mut batches = 0;
-        while let Some(v) = output.pop() {
-            assert!((1..=8).contains(&v));
-            total += v;
-            batches += 1;
-        }
-        assert_eq!(h.join().unwrap(), 20);
-        assert_eq!(total, 20);
-        assert!(batches >= 3); // at most 8 per batch
-    }
-
-    #[test]
-    fn static_batch_stage_waits_for_full_batches() {
-        let input = FeedbackQueue::new(32);
-        let output = FeedbackQueue::new(64);
-        let h = spawn_batch_stage(
-            "count",
-            input.clone(),
-            output.clone(),
-            BatchPolicy::Static { size: 5 },
-            |batch: Vec<i32>| vec![batch.len() as i32],
-        );
-        for i in 0..12 {
-            input.push(i).unwrap();
-        }
-        input.close();
-        let mut sizes = Vec::new();
-        while let Some(v) = output.pop() {
-            sizes.push(v);
-        }
-        h.join().unwrap();
-        // two full batches of 5 plus a flushed partial of 2
-        assert_eq!(sizes.iter().sum::<i32>(), 12);
-        assert_eq!(sizes[0], 5);
-        assert_eq!(sizes[1], 5);
-        assert_eq!(sizes[2], 2);
     }
 
     #[test]
@@ -700,15 +526,13 @@ mod tests {
             on_quarantine: Box::new(|_| {}),
             on_lost: Box::new(move |x| l2.lock().unwrap().push(x)),
         };
-        let h = spawn_batch_stage_faulted(
+        let h = spawn_filter_stage_faulted(
             "snm",
             input.clone(),
-            vec![output.clone()],
-            |_| 0,
-            BatchPolicy::Dynamic { size: 4 },
+            output.clone(),
             StageTelemetry::register(&tel, "stream0.snm"),
             ctx,
-            |batch: Vec<u64>| batch,
+            Some,
         );
         for i in 0..6u64 {
             input.push(i).unwrap();

@@ -2,16 +2,13 @@
 //!
 //! The paper's pitch is that one server keeps *many* streams real-time; a
 //! single misbehaving stream must therefore never take the whole run down.
-//! This module provides the two mechanisms the RT engine builds on:
+//! Restart, backoff and give-up live in the stage executor itself
+//! ([`pool`](crate::pool): a failed slot restarts under a bounded budget,
+//! paced by [`backoff_delay`], and reports a [`StageOutcome`]). This module
+//! holds what the executor and the RT engine share around it:
 //!
-//! * [`supervise`] — runs a stage through a factory, and when an incarnation
-//!   dies by panic restarts it with exponential backoff under a bounded
-//!   restart budget. Because a panicked stage leaves its queues open (see
-//!   `rt`), the replacement re-attaches to the same queues and in-flight
-//!   frames are preserved. When the budget is exhausted the supervisor calls
-//!   the caller's give-up hook exactly once — the RT engine uses it to drain
-//!   and quarantine the dead stage's input and close its downstream queue —
-//!   and reports a [`StageOutcome::GaveUp`].
+//! * [`backoff_delay`] / [`MAX_BACKOFF`] — the one capped exponential curve.
+//! * [`StageOutcome`] — how a supervised stage ended.
 //! * [`Watchdog`] — polls progress heartbeats ([`StageHandle::progress_cell`])
 //!   and fires a per-entry stall action whenever a stage makes no progress
 //!   for a full deadline while its input is non-empty. The action re-arms,
@@ -20,8 +17,8 @@
 //!
 //! [`StageHandle::progress_cell`]: crate::rt::StageHandle::progress_cell
 
-use crate::rt::{StageFailure, StageHandle};
-use ffsva_telemetry::{Counter, SupervisorTelemetry};
+use crate::rt::StageFailure;
+use ffsva_telemetry::Counter;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,33 +59,15 @@ pub fn backoff_delay(base: Duration, attempt: u32, cap: Duration) -> Duration {
     base.saturating_mul(2u32.saturating_pow(attempt)).min(cap)
 }
 
-/// Restart policy for a supervised stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorPolicy {
-    /// How many times a failed stage is restarted before giving up. The
-    /// budget bounds total attempts at `restart_budget + 1`.
-    pub restart_budget: u32,
-    /// Backoff before the first restart; doubles per subsequent restart.
-    pub backoff: Duration,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            restart_budget: 2,
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
-
 /// Terminal state of a supervised stage.
 #[derive(Debug)]
 pub enum StageOutcome {
     /// The stage drained its input and exited cleanly (possibly after
     /// restarts). `processed` accumulates across incarnations.
     Completed { processed: u64, restarts: u32 },
-    /// Every attempt died and the restart budget is exhausted; the give-up
-    /// hook has run. `processed` accumulates across incarnations.
+    /// Every attempt died and the restart budget is exhausted; the stage's
+    /// downstream is closed and its remaining input quarantined. `processed`
+    /// accumulates across incarnations.
     GaveUp {
         failure: StageFailure,
         processed: u64,
@@ -124,80 +103,6 @@ impl StageOutcome {
             StageOutcome::GaveUp { failure, .. } => Some(failure),
         }
     }
-}
-
-/// Handle to a supervised stage (the supervisor's monitor thread).
-pub struct SupervisedStage {
-    pub name: String,
-    join: JoinHandle<StageOutcome>,
-}
-
-impl SupervisedStage {
-    /// Wait for the stage to complete or give up. Never panics on a stage
-    /// failure — that is the point of supervision.
-    pub fn join(self) -> StageOutcome {
-        self.join.join().expect("supervisor monitor thread")
-    }
-}
-
-/// Run a stage under supervision. `factory` must build a fresh incarnation
-/// attached to the *same* queues each time it is called (clone the queue
-/// handles and share the models via `Arc`); `on_give_up` runs exactly once,
-/// after the last incarnation died, and is responsible for disposing
-/// whatever is still in the dead stage's input and unblocking downstream.
-pub fn supervise<F, G>(
-    name: impl Into<String>,
-    policy: SupervisorPolicy,
-    tel: SupervisorTelemetry,
-    mut factory: F,
-    on_give_up: G,
-) -> SupervisedStage
-where
-    F: FnMut() -> StageHandle + Send + 'static,
-    G: FnOnce(&StageFailure) + Send + 'static,
-{
-    let name = name.into();
-    let tname = format!("supervise-{}", name);
-    let join = thread::Builder::new()
-        .name(tname)
-        .spawn(move || {
-            let mut restarts = 0u32;
-            let mut processed = 0u64;
-            let mut give_up = Some(on_give_up);
-            loop {
-                let handle = factory();
-                match handle.join() {
-                    Ok(n) => {
-                        processed += n;
-                        return StageOutcome::Completed {
-                            processed,
-                            restarts,
-                        };
-                    }
-                    Err(failure) => {
-                        processed += failure.processed;
-                        if restarts >= policy.restart_budget {
-                            tel.give_ups.inc();
-                            if let Some(g) = give_up.take() {
-                                g(&failure);
-                            }
-                            return StageOutcome::GaveUp {
-                                failure,
-                                processed,
-                                restarts,
-                            };
-                        }
-                        let backoff = backoff_delay(policy.backoff, restarts, MAX_BACKOFF);
-                        restarts += 1;
-                        tel.restarts.inc();
-                        tel.backoff_ms.add(backoff.as_millis() as u64);
-                        thread::sleep(backoff);
-                    }
-                }
-            }
-        })
-        .expect("spawn supervisor thread");
-    SupervisedStage { name, join }
 }
 
 /// One stage the watchdog monitors: a progress heartbeat, a backlog probe
@@ -259,9 +164,6 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::FeedbackQueue;
-    use crate::rt::spawn_filter_stage;
-    use std::sync::Mutex;
 
     #[test]
     fn backoff_doubles_then_saturates_at_the_cap() {
@@ -273,139 +175,6 @@ mod tests {
         assert_eq!(backoff_delay(base, 4, cap), cap);
         // overflow-proof at absurd attempt counts
         assert_eq!(backoff_delay(base, u32::MAX, cap), cap);
-    }
-
-    #[test]
-    fn supervised_stage_completes_without_restarts_when_healthy() {
-        let input: FeedbackQueue<u64> = FeedbackQueue::new(16);
-        let output: FeedbackQueue<u64> = FeedbackQueue::new(16);
-        let (i2, o2) = (input.clone(), output.clone());
-        let sup = supervise(
-            "healthy",
-            SupervisorPolicy::default(),
-            SupervisorTelemetry::noop(),
-            move || spawn_filter_stage("healthy", i2.clone(), o2.clone(), Some),
-            |_| panic!("give-up must not run for a healthy stage"),
-        );
-        for i in 0..10u64 {
-            input.push(i).unwrap();
-        }
-        input.close();
-        let mut got = Vec::new();
-        while let Some(v) = output.pop() {
-            got.push(v);
-        }
-        let outcome = sup.join();
-        assert!(!outcome.gave_up());
-        assert_eq!(outcome.processed(), 10);
-        assert_eq!(outcome.restarts(), 0);
-        assert_eq!(got.len(), 10);
-    }
-
-    #[test]
-    fn transient_panic_is_restarted_and_the_run_completes() {
-        use ffsva_telemetry::Telemetry;
-
-        let tel = Telemetry::new();
-        let input: FeedbackQueue<u64> = FeedbackQueue::new(32);
-        let output: FeedbackQueue<u64> = FeedbackQueue::new(32);
-        let (i2, o2) = (input.clone(), output.clone());
-        // Dies on the first frame it sees on attempt 0 only: the poison pill
-        // value 3 is consumed by the panic (quarantine-free variant here:
-        // the frame is lost to the panic, which is why engines route faults
-        // through the quarantine hooks instead of raw panics).
-        let attempts = Arc::new(AtomicU64::new(0));
-        let a2 = Arc::clone(&attempts);
-        let sup = supervise(
-            "flaky",
-            SupervisorPolicy {
-                restart_budget: 2,
-                backoff: Duration::from_millis(1),
-            },
-            SupervisorTelemetry::register(&tel, "rt.supervisor.flaky"),
-            move || {
-                let attempt = a2.fetch_add(1, Ordering::Relaxed);
-                spawn_filter_stage("flaky", i2.clone(), o2.clone(), move |x: u64| {
-                    if attempt == 0 && x == 3 {
-                        panic!("transient fault");
-                    }
-                    Some(x)
-                })
-            },
-            |_| panic!("budget must not exhaust"),
-        );
-        for i in 0..8u64 {
-            input.push(i).unwrap();
-        }
-        input.close();
-        let mut got = Vec::new();
-        while let Some(v) = output.pop() {
-            got.push(v);
-        }
-        let outcome = sup.join();
-        assert!(!outcome.gave_up());
-        assert_eq!(outcome.restarts(), 1);
-        // frame 3 died with the panic; 0,1,2 and 4..8 flowed through
-        assert_eq!(got, vec![0, 1, 2, 4, 5, 6, 7]);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("rt.supervisor.flaky.restarts"), 1);
-        assert_eq!(snap.counter("rt.supervisor.flaky.give_ups"), 0);
-    }
-
-    #[test]
-    fn persistent_panic_exhausts_budget_and_runs_give_up_once() {
-        use ffsva_telemetry::Telemetry;
-
-        let tel = Telemetry::new();
-        let input: FeedbackQueue<u64> = FeedbackQueue::new(32);
-        let output: FeedbackQueue<u64> = FeedbackQueue::new(32);
-        let (i2, o2) = (input.clone(), output.clone());
-        let drained = Arc::new(Mutex::new(Vec::new()));
-        let d2 = Arc::clone(&drained);
-        let gi = input.clone();
-        let go = output.clone();
-        let sup = supervise(
-            "doomed",
-            SupervisorPolicy {
-                restart_budget: 2,
-                backoff: Duration::from_millis(1),
-            },
-            SupervisorTelemetry::register(&tel, "rt.supervisor.doomed"),
-            move || {
-                spawn_filter_stage("doomed", i2.clone(), o2.clone(), |x: u64| {
-                    if x >= 2 {
-                        panic!("persistent fault at {x}");
-                    }
-                    Some(x)
-                })
-            },
-            move |failure| {
-                assert!(failure.message.contains("persistent fault"));
-                while let Some(v) = gi.pop() {
-                    d2.lock().unwrap().push(v);
-                }
-                go.close();
-            },
-        );
-        for i in 0..10u64 {
-            input.push(i).unwrap();
-        }
-        input.close();
-        let mut got = Vec::new();
-        while let Some(v) = output.pop() {
-            got.push(v);
-        }
-        let outcome = sup.join();
-        assert!(outcome.gave_up());
-        assert_eq!(outcome.restarts(), 2, "budget of 2 restarts = 3 attempts");
-        assert_eq!(got, vec![0, 1], "pre-fault frames still flowed");
-        // 3 attempts each consumed one poison frame (2, 3, 4); the give-up
-        // drain swept the remainder
-        assert_eq!(*drained.lock().unwrap(), vec![5, 6, 7, 8, 9]);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("rt.supervisor.doomed.restarts"), 2);
-        assert_eq!(snap.counter("rt.supervisor.doomed.give_ups"), 1);
-        assert!(snap.counter("rt.supervisor.doomed.backoff_ms") >= 1 + 2);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! event ordering, batch-policy guarantees, and device accounting.
 
 use ffsva_sched::{
-    spawn_batch_stage, BatchPolicy, Device, DeviceKind, EventQueue, FeedbackQueue, ModelKey,
-    SimQueue,
+    spawn_stage_pool, BatchPolicy, Device, DeviceKind, EventQueue, FeedbackQueue, ModelKey,
+    PoolPolicy, PoolSlot, PoolTelemetry, SimQueue,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -180,15 +181,20 @@ proptest! {
         let output: FeedbackQueue<usize> = FeedbackQueue::new(64);
         let batch_sizes: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
         let recorder = Arc::clone(&batch_sizes);
-        let stage = spawn_batch_stage(
+        let pool = spawn_stage_pool(
             "snm",
-            input.clone(),
-            output.clone(),
-            BatchPolicy::Dynamic { size },
-            move |batch: Vec<usize>| {
-                recorder.lock().unwrap().push(batch.len());
-                batch
-            },
+            PoolPolicy { workers: 1, restart_budget: 0, backoff: Duration::ZERO },
+            vec![PoolSlot::plain(
+                input.clone(),
+                output.clone(),
+                Some(BatchPolicy::Dynamic { size }),
+                move |batch: Vec<usize>, _: &mut ()| {
+                    recorder.lock().unwrap().push(batch.len());
+                    batch
+                },
+            )],
+            vec![()],
+            PoolTelemetry::noop(),
         );
         for i in 0..n {
             input.push(i).expect("stage closed early");
@@ -198,8 +204,9 @@ proptest! {
         while let Some(v) = output.pop() {
             got.push(v);
         }
-        let processed = stage.join().expect("stage failed");
-        prop_assert_eq!(processed, n as u64);
+        let outcomes = pool.join();
+        prop_assert!(!outcomes[0].gave_up(), "stage failed");
+        prop_assert_eq!(outcomes[0].processed(), n as u64);
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
         let sizes = batch_sizes.lock().unwrap();
         prop_assert_eq!(sizes.iter().sum::<usize>(), n);

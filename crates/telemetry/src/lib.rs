@@ -891,16 +891,18 @@ mod tests {
         }
         tel.counter("stream0.reference.frames_in").add(100);
         tel.counter("pipeline.frames_in").add(1000);
+        // `quantile` is nearest-rank: p99 of 100 samples is the 99th, so two
+        // of them have to be high for p99 to read high
         let qh = tel.histogram("queue.snm.depth_on_push", DEPTH_BOUNDS);
-        for _ in 0..99 {
-            qh.record(2.0);
-        }
-        qh.record(8.0);
         let lh = tel.histogram("latency.e2e_us", LATENCY_BOUNDS_US);
-        for _ in 0..99 {
+        for _ in 0..98 {
+            qh.record(2.0);
             lh.record(900.0);
         }
-        lh.record(40_000.0);
+        for _ in 0..2 {
+            qh.record(8.0);
+            lh.record(40_000.0);
+        }
 
         let d = PipelineDigest::from_snapshot(&tel.snapshot(), 2_000_000.0);
         assert_eq!(d.throughput_fps, 500.0);

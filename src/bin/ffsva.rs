@@ -23,8 +23,8 @@
 use ffs_va::core::accuracy::cascade_pass;
 use ffs_va::core::{
     drift_ablation, evaluate_accuracy, find_max_cluster_streams, find_max_online_streams,
-    install_signal_drain, max_streams_by_threads, threads_for_streams, tune, AccuracyReport,
-    Daemon, DriftConfig, ServeConfig, TuneCandidate, TuneInput, TuneOptions, DEFAULT_THREAD_BUDGET,
+    install_signal_drain, max_streams_by_threads, tune, AccuracyReport, Daemon, DriftConfig,
+    ServeConfig, TuneCandidate, TuneInput, TuneOptions, DEFAULT_THREAD_BUDGET,
 };
 use ffs_va::models::reference::ReferenceModel;
 use ffs_va::models::sdd::SddFilter;
@@ -82,13 +82,11 @@ from them; --stop-after N truncates each stream's input to simulate a kill.
   ffsva capacity --workload <name> [--frames N] [--train-frames N]
                  [--filter-gpus N] [--ref-gpus N] [--max-streams N]
                  [--tor F] [--seed N] [--target <class>] [--fast]
-                 [--pooled] [--pool-workers N] [--thread-budget N]
                  [--instances N]
 
---pooled adds the sharded stage-pool thread ceiling (DESIGN.md §11): how
-many streams fit the thread budget with pooled SDD/SNM workers vs. one
-thread per stream per stage. --instances N plans a whole fleet: the largest
-stream count N instances sustain with re-forwarding allowed to spread load.
+--instances N plans a whole fleet: the largest stream count N instances
+sustain with re-forwarding allowed to spread load. The last line is the
+instance's thread ceiling (DESIGN.md §11), whatever the devices sustain.
 
   ffsva tune     [--out <TUNE.json>] [--bless <config.json>] [--streams N]
                  [--frames N] [--train-frames N] [--tor F] [--seed N] [--full]
@@ -975,9 +973,6 @@ fn cmd_simulate(args: &mut Args) -> Result<(), String> {
 fn cmd_capacity(args: &mut Args) -> Result<(), String> {
     let max_streams: usize = args.parsed("max-streams", 64)?;
     let instances: usize = args.parsed("instances", 1)?;
-    let pooled = args.flag("pooled");
-    let pool_workers: usize = args.parsed("pool-workers", 8)?;
-    let thread_budget: usize = args.parsed("thread-budget", DEFAULT_THREAD_BUDGET)?;
     let sys = system_config(args)?;
     let (ps, fps) = prepare_pool(args, 900, sys.snm_precision, sys.tyolo_precision)?;
     let frames_per_stream = ps.traces.len();
@@ -1030,31 +1025,12 @@ fn cmd_capacity(args: &mut Args) -> Result<(), String> {
             }
         );
     }
-    if pooled {
-        if pool_workers == 0 {
-            return Err("--pool-workers must be positive".into());
-        }
-        let threaded = max_streams_by_threads(&sys, thread_budget);
-        let pooled_sys = sys.with_pool_workers(pool_workers, pool_workers);
-        let pooled_max = max_streams_by_threads(&pooled_sys, thread_budget);
-        println!();
-        println!("thread ceiling at a {thread_budget}-thread budget (DESIGN.md §11):");
-        println!(
-            "  per-stream threads ({} threads per stream): {} stream(s)",
-            threads_for_streams(&sys, 1).saturating_sub(1),
-            threaded
-        );
-        println!(
-            "  sharded pools ({pool_workers} SDD + {pool_workers} SNM workers): {} stream(s)",
-            pooled_max
-        );
-        if threaded > 0 && pooled_max > 0 {
-            println!(
-                "  pooling hosts {:.1}x more streams per instance",
-                pooled_max as f64 / threaded as f64
-            );
-        }
-    }
+    println!();
+    println!(
+        "thread ceiling (DESIGN.md §11): {} stream(s) fit one instance's \
+         {DEFAULT_THREAD_BUDGET}-thread budget",
+        max_streams_by_threads()
+    );
     Ok(())
 }
 

@@ -12,7 +12,9 @@ use ffs_va::prelude::{
     FilterBank, FrameTrace, LabeledFrame, ObjectClass, RtEngine, SourceFault, SourceFaultPlan,
     StageFault, VideoStream,
 };
-use ffs_va::sched::{spawn_batch_stage, spawn_filter_stage, FeedbackQueue};
+use ffs_va::sched::{
+    spawn_filter_stage, spawn_stage_pool, FeedbackQueue, PoolPolicy, PoolSlot, PoolTelemetry,
+};
 use ffs_va::video::workloads;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -58,12 +60,21 @@ fn stalled_tyolo_stage_bounds_upstream_queues_via_feedback() {
     let q_ref: FeedbackQueue<u64> = FeedbackQueue::new(1024);
 
     let h_sdd = spawn_filter_stage("sdd", q_src.clone(), q_snm.clone(), Some);
-    let h_snm = spawn_batch_stage(
+    let snm_pool = spawn_stage_pool(
         "snm",
-        q_snm.clone(),
-        q_tyolo.clone(),
-        BatchPolicy::Dynamic { size: 10 },
-        |batch: Vec<u64>| batch,
+        PoolPolicy {
+            workers: 1,
+            restart_budget: 0,
+            backoff: Duration::ZERO,
+        },
+        vec![PoolSlot::plain(
+            q_snm.clone(),
+            q_tyolo.clone(),
+            Some(BatchPolicy::Dynamic { size: 10 }),
+            |batch: Vec<u64>, _: &mut ()| batch,
+        )],
+        vec![()],
+        PoolTelemetry::noop(),
     );
     // the injected fault: T-YOLO takes 20 ms per frame instead of ~5 ms
     let h_tyolo = spawn_filter_stage("tyolo-stalled", q_tyolo.clone(), q_ref.clone(), |x: u64| {
@@ -109,7 +120,7 @@ fn stalled_tyolo_stage_bounds_upstream_queues_via_feedback() {
         received.push(v);
     }
     h_sdd.join().unwrap();
-    h_snm.join().unwrap();
+    assert!(!snm_pool.join()[0].gave_up());
     h_tyolo.join().unwrap();
 
     let entered_total = q_src.stats().pushed;

@@ -1,26 +1,31 @@
-//! Pool-conformance battery (DESIGN.md §11): the sharded stage-worker pools
-//! must be *observationally identical* to the per-stream-thread layout —
-//! survivor sets, frame counters, supervision outcomes, and checkpoint files
-//! are all bit-identical for any worker count, under clean runs, injected
-//! faults, quarantines, and kill-and-resume.
-//!
-//! CI parameterizes the worker sweep through `FFSVA_POOL_WORKERS` (a
-//! comma-separated list, e.g. `1,8`); unset, the tests sweep {1, 2, 8} so
-//! one invocation covers fewer-, equal-, and more-workers-than-streams.
+//! Pool-conformance battery (DESIGN.md §11): the stage executor's two ways
+//! of waiting must be *observationally identical*. The reference is the
+//! default engine — a dedicated worker per stream per stage, blocking on its
+//! queue — and, for clean runs, `cascade_pass` over each bank's trace (the
+//! check the benchmark's `ops_failed` makes). Against it, the shared sweep
+//! forced onto the same few streams with 1, 2 and 8 workers per stage must
+//! leave bit-identical survivor sets, frame counters, `drift.*` and
+//! `rt.supervisor.*` counters, supervision outcomes and end-of-run
+//! checkpoint files — under clean runs, injected faults, quarantines, drift
+//! recalibration, and kill-and-resume.
 
+use ffs_va::core::accuracy::cascade_pass;
+use ffs_va::core::checkpoint::stream_ckpt_path;
 use ffs_va::core::{CheckpointSpec, DriftConfig, Engine, Mode, StreamInput, StreamThresholds};
 use ffs_va::models::reference::ReferenceModel;
 use ffs_va::models::sdd::SddFilter;
 use ffs_va::models::snm::{SnmModel, SnmReport, SnmTrainOptions};
 use ffs_va::models::tyolo::TinyYolo;
 use ffs_va::prelude::{
-    run_multi_pipeline_rt, BankOptions, FaultPlan, FaultStage, FfsVaConfig, FilterBank,
-    LabeledFrame, MultiRtResult, ObjectClass, RtEngine, SourceFaultPlan, StageFault, VideoStream,
+    BankOptions, FaultPlan, FaultStage, FfsVaConfig, FilterBank, LabeledFrame, MultiRtResult,
+    ObjectClass, RtEngine, StageFault, SurvivingFrame, VideoStream,
 };
 use ffs_va::video::{workloads, BackgroundKind};
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 const FRAMES: u64 = 400;
@@ -28,20 +33,9 @@ const FRAMES: u64 = 400;
 /// genuinely multiplex, built from two trained banks reused round-robin.
 const STREAMS: usize = 4;
 
-/// Worker counts to sweep. CI pins this via `FFSVA_POOL_WORKERS=1,8`.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("FFSVA_POOL_WORKERS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .expect("FFSVA_POOL_WORKERS must be a comma-separated list of worker counts")
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 8],
-    }
-}
+/// Sweeping worker counts per stage: fewer than, and more than, the streams
+/// of any run here (4, or 5 with the drifting one), so none is dedicated.
+const SHARED_WORKERS: [usize; 3] = [1, 2, 8];
 
 fn fast_bank_opts() -> BankOptions {
     BankOptions {
@@ -141,8 +135,8 @@ const DRIFT: DriftConfig = DriftConfig {
     floor: 1e-4,
 };
 
-/// Decision traces of the SAME clips through the SAME banks, for the DES
-/// side of the conformance contract.
+/// Decision traces of the SAME clips through the SAME banks: the DES side
+/// of the conformance contract, and what `cascade_pass` is evaluated over.
 fn des_inputs(cfg: &FfsVaConfig) -> Vec<StreamInput> {
     (0..STREAMS)
         .map(|s| {
@@ -180,117 +174,148 @@ fn survivor_seqs(r: &MultiRtResult) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Acceptance (tentpole): for every worker count the pooled layout's
-/// survivor sets, frame counters, and public (non-engine-private) series
-/// names are bit-identical to the per-stream-thread layout — without drift
-/// recalibration, and with it on a clip that makes it fire.
-#[test]
-fn pooled_survivors_bit_identical_to_per_stream_threads() {
-    pooled_matches_threads(rt_streams, None);
-    pooled_matches_threads(drifting_streams, Some(DRIFT));
+/// Everything a run leaves behind that must not depend on how the stage
+/// workers wait.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    survivors: Vec<Vec<SurvivingFrame>>,
+    frames: BTreeMap<String, u64>,
+    /// `drift.*` and `rt.supervisor.*` counters.
+    recal_and_supervision: BTreeMap<String, u64>,
+    quarantined: Vec<bool>,
+    /// Series names outside the engine-private `rt.` namespace.
+    public_names: Vec<String>,
+    /// The end-of-run checkpoint file of every stream, byte for byte.
+    checkpoints: Vec<Vec<u8>>,
 }
 
-fn pooled_matches_threads(
+/// Run `engine` with end-of-run checkpoints into `spec`'s directory and
+/// collect what it left behind. The directory is left in place.
+fn observe_into(engine: RtEngine, spec: CheckpointSpec) -> (MultiRtResult, Observed) {
+    let dir = spec.dir.clone();
+    let r = engine.with_checkpoint(spec).run();
+    let observed = Observed {
+        survivors: r.survivors.clone(),
+        frames: r.telemetry.frames_counters(),
+        recal_and_supervision: r
+            .telemetry
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("drift.") || k.starts_with("rt.supervisor."))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect(),
+        quarantined: r.stream_health.iter().map(|h| h.quarantined).collect(),
+        public_names: r.telemetry.conformant_names(),
+        checkpoints: (0..r.survivors.len())
+            .map(|s| std::fs::read(stream_ckpt_path(&dir, s)).expect("end-of-run checkpoint"))
+            .collect(),
+    };
+    // the executor really ran as a pool: its engine-private series exist
+    for stage in ["sdd", "snm"] {
+        assert!(
+            r.telemetry
+                .gauges
+                .contains_key(&format!("rt.pool.{stage}.worker_busy_pct")),
+            "rt.pool.{stage} telemetry missing"
+        );
+    }
+    (r, observed)
+}
+
+/// [`observe_into`] a fresh scratch directory, removed afterwards.
+fn observe(engine: RtEngine) -> (MultiRtResult, Observed) {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let dir = tmp_dir(&format!("observe{}", RUNS.fetch_add(1, Ordering::Relaxed)));
+    let out = observe_into(engine, CheckpointSpec::new(&dir, 256, false));
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// Acceptance (tentpole): for every sweeping worker count, everything
+/// [`Observed`] is bit-identical to the default engine's dedicated workers —
+/// without drift recalibration, and with it on a clip that makes it fire —
+/// and a clean run's survivors are exactly `cascade_pass` over the trace.
+#[test]
+fn shared_sweep_is_bit_identical_to_dedicated_workers() {
+    let cfg = FfsVaConfig::default();
+    let dedicated = shared_matches_dedicated(rt_streams, None);
+    let expected: Vec<Vec<u64>> = des_inputs(&cfg)
+        .iter()
+        .map(|input| {
+            input
+                .traces
+                .iter()
+                .filter(|t| cascade_pass(t, &input.thresholds))
+                .map(|t| t.seq)
+                .collect()
+        })
+        .collect();
+    assert_eq!(survivor_seqs(&dedicated), expected);
+    assert!(expected.iter().any(|s| !s.is_empty()));
+
+    let drifting = shared_matches_dedicated(drifting_streams, Some(DRIFT));
+    assert!(drifting.telemetry.counter("drift.detections") >= 1);
+}
+
+/// Returns the dedicated (reference) run.
+fn shared_matches_dedicated(
     streams: fn() -> Vec<(Vec<LabeledFrame>, FilterBank)>,
     drift: Option<DriftConfig>,
-) {
-    let run = |cfg: FfsVaConfig| {
-        let engine = RtEngine::new(cfg, streams());
+) -> MultiRtResult {
+    let engine = || {
+        let engine = RtEngine::new(FfsVaConfig::default(), streams());
         match drift {
-            Some(d) => engine.with_drift(d).run(),
-            None => engine.run(),
+            Some(d) => engine.with_drift(d),
+            None => engine,
         }
     };
-    let cfg = FfsVaConfig::default();
-    let legacy = run(cfg);
-    assert!(legacy.stream_health.iter().all(|h| h.healthy()));
-    assert!(legacy.survivors.iter().any(|s| !s.is_empty()));
-    if drift.is_some() {
-        assert!(legacy.telemetry.counter("drift.detections") >= 1);
+    let (dedicated, reference) = observe(engine());
+    assert!(dedicated.stream_health.iter().all(|h| h.healthy()));
+    for w in SHARED_WORKERS {
+        let (_, shared) = observe(engine().with_stage_workers(w));
+        assert_eq!(shared, reference, "{w} sweeping workers per stage");
     }
-
-    for w in worker_counts() {
-        let pooled_cfg = cfg.with_pool_workers(w, w);
-        assert!(pooled_cfg.pooled());
-        let pooled = run(pooled_cfg);
-
-        assert_eq!(
-            pooled.survivors, legacy.survivors,
-            "survivor sets moved under {w} pool workers"
-        );
-        assert_eq!(
-            pooled.telemetry.frames_counters(),
-            legacy.telemetry.frames_counters(),
-            "frame counters moved under {w} pool workers"
-        );
-        for series in [
-            "drift.detections",
-            "drift.sdd_rebuilds",
-            "drift.snm_retunes",
-        ] {
-            assert_eq!(
-                pooled.telemetry.counter(series),
-                legacy.telemetry.counter(series),
-                "{series} moved under {w} pool workers"
-            );
-        }
-        // the execution layout is invisible outside the rt. namespace
-        assert_eq!(
-            pooled.telemetry.conformant_names(),
-            legacy.telemetry.conformant_names(),
-            "public series names moved under {w} pool workers"
-        );
-        assert!(pooled.stream_health.iter().all(|h| h.healthy()));
-        // and the pool really ran: its engine-private series exist
-        for stage in ["sdd", "snm"] {
-            assert!(
-                pooled
-                    .telemetry
-                    .gauges
-                    .contains_key(&format!("rt.pool.{stage}.worker_busy_pct")),
-                "rt.pool.{stage} telemetry missing"
-            );
-        }
-    }
+    dedicated
 }
 
-/// DES↔RT conformance holds under pooling: both engines emit identical
-/// frame-counter names *and values* for the same clips and banks.
+/// DES↔RT conformance holds under the shared sweep: both engines emit
+/// identical frame-counter names *and values* for the same clips and banks.
 #[test]
-fn des_and_rt_agree_under_pooling() {
-    let cfg = FfsVaConfig::default().with_pool_workers(2, 2);
-    let rt = run_multi_pipeline_rt(rt_streams(), &cfg);
+fn des_and_rt_agree_under_the_shared_sweep() {
+    let cfg = FfsVaConfig::default();
+    let rt = RtEngine::new(cfg, rt_streams()).with_stage_workers(2).run();
     let inputs = des_inputs(&cfg);
     let des = Engine::new(cfg, Mode::Offline, inputs).run();
 
     assert_eq!(
         des.telemetry.frames_counters(),
         rt.telemetry.frames_counters(),
-        "engines disagree under pooling"
+        "engines disagree under the shared sweep"
     );
 }
 
-/// Quarantine isolation under pooling: a persistent SNM panic on one stream
-/// burns its restart budget and quarantines *only* that stream, while pooled
-/// siblings sharing the same workers stay bit-identical to a clean run.
+/// Quarantine isolation: a persistent SNM panic on one stream burns its
+/// restart budget and quarantines *only* that stream, while siblings sharing
+/// the same sweeping workers stay bit-identical to a clean run.
 #[test]
-fn pooled_quarantine_isolates_shard_siblings() {
+fn quarantine_isolates_shard_siblings() {
     let cfg = FfsVaConfig {
         restart_budget: 1,
         restart_backoff_ms: 1,
         ..FfsVaConfig::default()
-    }
-    .with_pool_workers(2, 2);
-    let clean = run_multi_pipeline_rt(rt_streams(), &cfg);
+    };
+    let clean = RtEngine::new(cfg, rt_streams()).with_stage_workers(2).run();
 
     let plan = FaultPlan::new().with(
         1,
         FaultStage::Snm,
         StageFault::PanicAtFrame(base_seq(1) + 50),
     );
-    let faulted = RtEngine::new(cfg, rt_streams())
-        .with_fault_plan(&plan)
-        .run();
+    let (faulted, shared) = observe(
+        RtEngine::new(cfg, rt_streams())
+            .with_fault_plan(&plan)
+            .with_stage_workers(2),
+    );
 
     assert!(faulted.stream_health[1].quarantined);
     assert_eq!(
@@ -302,16 +327,16 @@ fn pooled_quarantine_isolates_shard_siblings() {
     assert_eq!(snap.counter("rt.supervisor.stream1.snm.restarts"), 1);
     assert_eq!(snap.counter("rt.supervisor.stream1.snm.give_ups"), 1);
 
-    // every pooled sibling — including stream 3, which runs the *same* clip
-    // through the same worker pool — is untouched
+    // every sibling — including stream 3, which runs the *same* clip through
+    // the same workers — is untouched
     for s in [0usize, 2, 3] {
         assert!(
             faulted.stream_health[s].healthy(),
-            "fault on stream 1 leaked into pooled sibling {s}"
+            "fault on stream 1 leaked into sibling {s}"
         );
         assert_eq!(
             faulted.survivors[s], clean.survivors[s],
-            "pooled sibling {s} survivors moved"
+            "sibling {s} survivors moved"
         );
         assert_eq!(
             snap.counter(&format!("rt.supervisor.stream{s}.snm.give_ups")),
@@ -332,133 +357,90 @@ fn pooled_quarantine_isolates_shard_siblings() {
     assert!(faulted.survivors[1]
         .iter()
         .all(|f| f.seq < base_seq(1) + 50));
-    // quarantine outcomes are layout-independent: the per-stream-thread
-    // layout reaches the exact same state under the same plan
-    let legacy = RtEngine::new(
-        FfsVaConfig {
-            restart_budget: 1,
-            restart_backoff_ms: 1,
-            ..FfsVaConfig::default()
-        },
-        rt_streams(),
-    )
-    .with_fault_plan(&plan)
-    .run();
-    assert_eq!(faulted.survivors, legacy.survivors);
-    assert_eq!(
-        faulted.telemetry.frames_counters(),
-        legacy.telemetry.frames_counters()
-    );
+    // quarantine outcomes do not depend on how workers wait: dedicated
+    // workers reach the exact same state under the same plan
+    let (_, dedicated) = observe(RtEngine::new(cfg, rt_streams()).with_fault_plan(&plan));
+    assert_eq!(shared, dedicated);
 }
 
-/// Kill-and-resume determinism under pools: a pooled run checkpointed and
-/// killed after 250 frames per stream, then resumed (still pooled), reports
-/// survivors and frame counters bit-identical to an uninterrupted pooled run
-/// — which is itself bit-identical to the per-stream-thread layout.
+/// Kill-and-resume determinism: a run checkpointed and killed after 250
+/// frames per stream, then resumed, reports survivors and frame counters
+/// bit-identical to an uninterrupted run — under the shared sweep, which is
+/// itself bit-identical to dedicated workers, checkpoint files included.
 #[test]
-fn pooled_kill_and_resume_matches_uninterrupted_run() {
-    let cfg = FfsVaConfig::default().with_pool_workers(2, 2);
-    let faults = FaultPlan::default();
-    let src = SourceFaultPlan::default();
-
-    let dir_a = tmp_dir("uninterrupted");
-    let full = RtEngine::new(cfg, rt_streams())
-        .with_fault_plan(&faults)
-        .with_source_plan(&src)
-        .with_checkpoint(CheckpointSpec::new(&dir_a, 256, false))
-        .run();
+fn kill_and_resume_matches_uninterrupted_run() {
+    let cfg = FfsVaConfig::default();
+    let (full, full_seen) = observe(RtEngine::new(cfg, rt_streams()).with_stage_workers(2));
     assert!(full.telemetry.counter("checkpoint.writes") >= 1);
 
     // segment 1: the process dies after 250 frames per stream
-    let dir_b = tmp_dir("resume");
+    let dir = tmp_dir("resume");
     let mut cut = rt_streams();
     for (clip, _) in &mut cut {
         clip.truncate(250);
     }
     let _ = RtEngine::new(cfg, cut)
-        .with_fault_plan(&faults)
-        .with_source_plan(&src)
-        .with_checkpoint(CheckpointSpec::new(&dir_b, 256, false))
+        .with_stage_workers(2)
+        .with_checkpoint(CheckpointSpec::new(&dir, 256, false))
         .run();
     // segment 2: resume from the checkpoints with the full clips
-    let resumed = RtEngine::new(cfg, rt_streams())
-        .with_fault_plan(&faults)
-        .with_source_plan(&src)
-        .with_checkpoint(CheckpointSpec::new(&dir_b, 256, true))
-        .run();
+    let (resumed, resumed_seen) = observe_into(
+        RtEngine::new(cfg, rt_streams()).with_stage_workers(2),
+        CheckpointSpec::new(&dir, 256, true),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(resumed.survivors, full.survivors);
-    assert_eq!(
-        resumed.telemetry.frames_counters(),
-        full.telemetry.frames_counters()
-    );
+    assert_eq!(resumed_seen.frames, full_seen.frames);
+    assert_eq!(resumed_seen.checkpoints, full_seen.checkpoints);
     assert!(resumed.stream_health.iter().all(|h| h.healthy()));
 
-    // cross-layout: the uninterrupted pooled run equals the per-stream
-    // layout, so resume-under-pools inherits bit-identity transitively
-    let legacy = run_multi_pipeline_rt(rt_streams(), &FfsVaConfig::default());
-    assert_eq!(survivor_seqs(&full), survivor_seqs(&legacy));
-
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+    let (_, dedicated) = observe(RtEngine::new(cfg, rt_streams()));
+    assert_eq!(full_seen, dedicated);
 }
 
 /// Migration round-trip: a stream checkpointed on one instance shape resumes
-/// on an instance with a *different* pool geometry (the re-forwarding path:
+/// on an instance with a *different* worker count (the re-forwarding path:
 /// checkpoint, ship the file, resume elsewhere). The reunited run must be
 /// bit-identical to never having moved.
 #[test]
-fn migration_across_pool_geometries_is_bit_identical() {
-    let cfg_a = FfsVaConfig::default().with_pool_workers(1, 1);
-    let cfg_b = FfsVaConfig::default().with_pool_workers(8, 8);
-    let faults = FaultPlan::default();
-    let src = SourceFaultPlan::default();
+fn migration_across_worker_counts_is_bit_identical() {
+    let cfg = FfsVaConfig::default();
+    let (stay, stay_seen) = observe(RtEngine::new(cfg, rt_streams()).with_stage_workers(1));
 
-    let dir_home = tmp_dir("never_moved");
-    let stay = RtEngine::new(cfg_a, rt_streams())
-        .with_fault_plan(&faults)
-        .with_source_plan(&src)
-        .with_checkpoint(CheckpointSpec::new(&dir_home, 256, false))
-        .run();
-
-    // instance A runs the first 250 frames and checkpoints
-    let dir_move = tmp_dir("migrated");
+    // instance A (one sweeping worker per stage) runs the first 250 frames
+    // and checkpoints
+    let dir = tmp_dir("migrated");
     let mut cut = rt_streams();
     for (clip, _) in &mut cut {
         clip.truncate(250);
     }
-    let _ = RtEngine::new(cfg_a, cut)
-        .with_fault_plan(&faults)
-        .with_source_plan(&src)
-        .with_checkpoint(CheckpointSpec::new(&dir_move, 256, false))
+    let _ = RtEngine::new(cfg, cut)
+        .with_stage_workers(1)
+        .with_checkpoint(CheckpointSpec::new(&dir, 256, false))
         .run();
-    // instance B (different worker count) resumes from A's checkpoint files
-    let moved = RtEngine::new(cfg_b, rt_streams())
-        .with_fault_plan(&faults)
-        .with_source_plan(&src)
-        .with_checkpoint(CheckpointSpec::new(&dir_move, 256, true))
-        .run();
+    // instance B (eight) resumes from A's checkpoint files
+    let (moved, moved_seen) = observe_into(
+        RtEngine::new(cfg, rt_streams()).with_stage_workers(8),
+        CheckpointSpec::new(&dir, 256, true),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(moved.survivors, stay.survivors);
-    assert_eq!(
-        moved.telemetry.frames_counters(),
-        stay.telemetry.frames_counters()
-    );
+    assert_eq!(moved_seen.frames, stay_seen.frames);
+    assert_eq!(moved_seen.checkpoints, stay_seen.checkpoints);
     assert!(moved.stream_health.iter().all(|h| h.healthy()));
-
-    let _ = std::fs::remove_dir_all(&dir_home);
-    let _ = std::fs::remove_dir_all(&dir_move);
 }
 
 // Random stream/fault mixes: whatever combination of panics, stalls, and
-// dropped pushes lands on the pooled SDD/SNM stages, (a) every offered frame
-// is disposed exactly once, (b) each stream's survivors stay in strictly
-// increasing seq order (per-stream FIFO), and (c) the pooled run is
-// bit-identical to the per-stream-thread run under the same plan.
+// dropped pushes lands on the SDD/SNM stages, (a) every offered frame is
+// disposed exactly once, (b) each stream's survivors stay in strictly
+// increasing seq order (per-stream FIFO), and (c) the sweeping run is
+// bit-identical to the dedicated run under the same plan.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
     #[test]
-    fn random_fault_mixes_conserve_frames_and_fifo_under_pooling(
+    fn random_fault_mixes_conserve_frames_and_fifo_under_the_shared_sweep(
         faults in proptest::collection::vec((0usize..STREAMS, 0u8..6, 0u64..300), 0..5),
         workers in 1usize..9,
     ) {
@@ -482,15 +464,17 @@ proptest! {
             restart_backoff_ms: 1,
             ..FfsVaConfig::default()
         };
-        let pooled = RtEngine::new(base.with_pool_workers(workers, workers), rt_streams())
-            .with_fault_plan(&plan)
-            .run();
-        let legacy = RtEngine::new(base, rt_streams()).with_fault_plan(&plan).run();
+        let (swept, shared) = observe(
+            RtEngine::new(base, rt_streams())
+                .with_fault_plan(&plan)
+                .with_stage_workers(workers),
+        );
+        let (_, dedicated) = observe(RtEngine::new(base, rt_streams()).with_fault_plan(&plan));
 
-        let snap = &pooled.telemetry;
+        let snap = &swept.telemetry;
         for s in 0..STREAMS {
             // frame conservation: disposed exactly once
-            let mut disposed = pooled.survivors[s].len() as u64;
+            let mut disposed = swept.survivors[s].len() as u64;
             for stage in ["sdd", "snm", "tyolo", "reference"] {
                 disposed += snap.counter(&format!("stream{s}.{stage}.frames_dropped"));
                 disposed += snap.counter(&format!("stream{s}.{stage}.frames_quarantined"));
@@ -501,24 +485,13 @@ proptest! {
                 s, plan, workers
             );
             // per-stream FIFO: survivors emerge in source order
-            let seqs: Vec<u64> = pooled.survivors[s].iter().map(|f| f.seq).collect();
+            let seqs: Vec<u64> = swept.survivors[s].iter().map(|f| f.seq).collect();
             prop_assert!(
                 seqs.windows(2).all(|w| w[0] < w[1]),
-                "stream {} survivors reordered under pooling: {:?}", s, seqs
+                "stream {} survivors reordered under the sweep: {:?}", s, seqs
             );
         }
-        // bit-identity with the per-stream-thread layout under the same plan
-        prop_assert_eq!(&pooled.survivors, &legacy.survivors);
-        prop_assert_eq!(
-            pooled.telemetry.frames_counters(),
-            legacy.telemetry.frames_counters()
-        );
-        for s in 0..STREAMS {
-            prop_assert_eq!(
-                pooled.stream_health[s].quarantined,
-                legacy.stream_health[s].quarantined,
-                "stream {} quarantine verdict diverged", s
-            );
-        }
+        // bit-identity with dedicated workers under the same plan
+        prop_assert_eq!(&shared, &dedicated, "{:?} with {} workers", plan, workers);
     }
 }

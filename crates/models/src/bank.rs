@@ -386,6 +386,95 @@ mod tests {
         );
     }
 
+    /// What the cascade reads off live workload frames, for a bank built
+    /// from a fixed seed. The constants were printed by this test at the
+    /// parent of the resize-kernel rewrite and hold every consumer of a
+    /// resized plane to that commit: the calibrated δ_diff, SDD distances,
+    /// the standardized SNM input and T-YOLO counts. Scalar kernels only:
+    /// the SIMD distance is within ULPs of these, not equal.
+    #[test]
+    fn golden_cascade_scores_on_live_frames() {
+        use ffsva_video::checksum::{fnv1a, frame_checksum};
+
+        // δ_diff bits, then per frame: index, source frame checksum,
+        // distance bits, snm_input digest, T-YOLO count
+        type Row = (usize, u64, u32, u64, usize);
+        const JACKSON_SEED_1: (u32, [Row; 3]) = (
+            0x3b7a5623,
+            [
+                (0, 0x6b221b6e5cad5aed, 0x38f9252f, 0x719f990396931902, 0),
+                (450, 0xdd51402aee189388, 0x3a16725d, 0x6434be1991627e7e, 0),
+                (899, 0x418b8f088d0452d5, 0x39d6f0b6, 0x1fbb1dc8c75a94da, 0),
+            ],
+        );
+        const CORAL_SEED_5: (u32, [Row; 3]) = (
+            0x3976f371,
+            [
+                (0, 0xecfa5a771726d884, 0x38bfb0ab, 0xf9c5e0406adeb662, 4),
+                (450, 0xe62c8d468a171adb, 0x3aba3451, 0x4f2415da1930060d, 6),
+                (899, 0xc90fbe1321c5b86d, 0x3a0d2120, 0x429ffb2114ec9024, 1),
+            ],
+        );
+        if ffsva_tensor::simd_active() {
+            eprintln!("SIMD kernels active: scalar golden scores not compared");
+            return;
+        }
+        let opts = BankOptions {
+            snm: SnmTrainOptions {
+                epochs: 1,
+                max_samples: 32,
+                restarts: 1,
+                ..small_opts().snm
+            },
+            ..Default::default()
+        };
+        for (name, cfg, (delta_diff, golden)) in [
+            (
+                "jackson/1",
+                workloads::jackson().with_seed(1),
+                JACKSON_SEED_1,
+            ),
+            ("coral/5", workloads::coral().with_seed(5), CORAL_SEED_5),
+        ] {
+            let target = cfg.target;
+            let clip = VideoStream::new(0, cfg).clip(900);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x7E57);
+            let bank = FilterBank::build(&clip[..300], target, &opts, &mut rng);
+            println!("{name}: delta_diff {:#010x}", bank.sdd.delta_diff.to_bits());
+            for (i, source, distance, snm, count) in golden {
+                let f = &clip[i].frame;
+                let input = crate::snm::snm_input(f);
+                let bytes: Vec<u8> = input
+                    .iter()
+                    .flat_map(|v| v.to_bits().to_le_bytes())
+                    .collect();
+                let got = (
+                    i,
+                    frame_checksum(f),
+                    bank.sdd.distance(f).to_bits(),
+                    fnv1a(&bytes),
+                    bank.tyolo.count(f, target),
+                );
+                println!(
+                    "{name}: ({i}, {:#018x}, {:#010x}, {:#018x}, {}),",
+                    got.1, got.2, got.3, got.4
+                );
+                if got.1 != source {
+                    // filmed with another `rand` than the offline stand-in
+                    // the constants were taken with: nothing to compare
+                    eprintln!("{name} frame {i}: source frame differs, scores not compared");
+                    continue;
+                }
+                assert_eq!(
+                    bank.sdd.delta_diff.to_bits(),
+                    delta_diff,
+                    "{name} delta_diff"
+                );
+                assert_eq!(got, (i, source, distance, snm, count), "{name} frame {i}");
+            }
+        }
+    }
+
     #[test]
     fn trace_thresholds_behave_monotonically() {
         let tr = FrameTrace {

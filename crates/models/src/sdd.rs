@@ -123,7 +123,7 @@ impl SddFilter {
     }
 
     /// [`Self::distance`] resizing into caller-owned scratch — the RT
-    /// pipeline's per-frame entry point (no allocation after warm-up).
+    /// pipeline's per-frame entry point (no plane is allocated after warm-up).
     pub fn distance_with(&self, frame: &Frame, scratch: &mut Scratch) -> f32 {
         resize_frame_f32_into(frame, SDD_SIZE, SDD_SIZE, &mut scratch.resized);
         self.distance_small(&scratch.resized)

@@ -27,6 +27,22 @@ impl PixelFormat {
             PixelFormat::Rgb8 => 3,
         }
     }
+
+    /// Byte length of one `width × height` frame; `InvalidData` when a
+    /// dimension is zero or the product overflows. What a parser of an
+    /// untrusted header calls before it sizes a buffer or builds a [`Frame`].
+    pub fn frame_len(&self, width: usize, height: usize) -> std::io::Result<usize> {
+        width
+            .checked_mul(height)
+            .and_then(|px| px.checked_mul(self.bytes_per_pixel()))
+            .filter(|&len| len > 0)
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("header declares {width}x{height} frames"),
+                )
+            })
+    }
 }
 
 /// Identifier of a video stream within an FFS-VA instance.

@@ -832,7 +832,7 @@ pub fn decode_wire_frame(buf: &[u8], header: &WireHeader) -> std::io::Result<Lab
     }
     let truth: GroundTruth =
         serde_json::from_slice(&truth_bytes).map_err(|e| bad(&e.to_string()))?;
-    let expect = header.width * header.height * header.format.bytes_per_pixel();
+    let expect = header.format.frame_len(header.width, header.height)?;
     let pixels = crate::storage::rle_decode(&rle, expect)?;
     let frame = match header.format {
         PixelFormat::Gray8 => Frame::gray8(
@@ -945,6 +945,7 @@ impl SocketSource {
         std::io::Read::read_exact(&mut stream, &mut hjson)?;
         let header: WireHeader =
             serde_json::from_slice(&hjson).map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
+        header.format.frame_len(header.width, header.height)?;
         self.total = Some(header.total);
         self.conn = Some((stream, header));
         Ok(())
@@ -1444,6 +1445,52 @@ mod tests {
             torn[rec.len() / 2] ^= 0xFF;
             assert!(decode_wire_frame(&torn, &header).is_err());
             assert!(decode_wire_frame(&rec[..rec.len() - 1], &header).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_and_overflowing_wire_dimensions_are_refused_not_panics() {
+        let clip = tiny_clip(1);
+        let rec = encode_wire_frame(&clip[0]);
+        for (width, height) in [(0, 200), (300, 0), (usize::MAX, 2)] {
+            let header = WireHeader {
+                stream: 0,
+                width,
+                height,
+                format: PixelFormat::Gray8,
+                total: 1,
+            };
+            let err = decode_wire_frame(&rec, &header).expect_err("refused");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{width}x{height}"
+            );
+
+            // the same header on the wire: the dial fails, every redial
+            // fails, the source ends lost having delivered nothing
+            let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let hjson = serde_json::to_vec(&header).unwrap();
+            let server = std::thread::spawn(move || {
+                use std::io::{Read, Write};
+                for _ in 0..2 {
+                    let (mut conn, _) = listener.accept().unwrap();
+                    conn.read_exact(&mut [0u8; 8]).unwrap();
+                    conn.write_all(&(hjson.len() as u32).to_le_bytes()).unwrap();
+                    conn.write_all(&hjson).unwrap();
+                }
+            });
+            let policy = ReconnectPolicy {
+                retry_budget: 1,
+                backoff_ms: 1,
+                backoff_cap_ms: 1,
+            };
+            let mut src = SocketSource::new(addr.to_string(), policy, io_timeout());
+            assert!(src.next_frame().is_none());
+            assert!(src.lost(), "{width}x{height}");
+            assert_eq!(src.announced_total(), None, "the header was never accepted");
+            server.join().unwrap();
         }
     }
 

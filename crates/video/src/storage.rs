@@ -56,8 +56,13 @@ pub struct ClipHeader {
 /// checksum mismatch. Carried inside an [`io::Error`] of kind
 /// [`io::ErrorKind::InvalidData`]; downcast to recover the failing index:
 ///
-/// ```ignore
-/// err.get_ref().and_then(|e| e.downcast_ref::<ClipIntegrityError>())
+/// ```
+/// # use ffsva_video::ClipIntegrityError;
+/// # fn failing_index(err: &std::io::Error) -> Option<u64> {
+/// err.get_ref()
+///     .and_then(|e| e.downcast_ref::<ClipIntegrityError>())
+///     .map(|e| e.frame_index)
+/// # }
 /// ```
 #[derive(Debug)]
 pub struct ClipIntegrityError {
@@ -113,7 +118,9 @@ pub fn rle_decode(encoded: &[u8], expect: usize) -> io::Result<Vec<u8>> {
     if !encoded.len().is_multiple_of(2) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "odd RLE length"));
     }
-    let mut out = Vec::with_capacity(expect);
+    // never reserve more than the runs present can fill, whatever `expect`
+    // (a header's width × height) claims
+    let mut out = Vec::with_capacity(expect.min(encoded.len() / 2 * 255));
     for pair in encoded.chunks(2) {
         let (run, v) = (pair[0] as usize, pair[1]);
         if run == 0 {
@@ -221,6 +228,8 @@ impl ClipWriter {
 pub struct ClipReader {
     input: BufReader<File>,
     pub header: ClipHeader,
+    /// Bytes per decoded frame, checked against the header when it was read.
+    frame_len: usize,
     /// Records successfully read so far (the index reported on damage).
     index: u64,
 }
@@ -247,9 +256,11 @@ impl ClipReader {
         input.read_exact(&mut hjson)?;
         let header: ClipHeader = serde_json::from_slice(&hjson)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let frame_len = header.format.frame_len(header.width, header.height)?;
         Ok(ClipReader {
             input,
             header,
+            frame_len,
             index: 0,
         })
     }
@@ -300,8 +311,7 @@ impl ClipReader {
                 )));
             }
         }
-        let expect = self.header.width * self.header.height * self.header.format.bytes_per_pixel();
-        let pixels = rle_decode(&rle, expect).map_err(|e| self.integrity(e.to_string()))?;
+        let pixels = rle_decode(&rle, self.frame_len).map_err(|e| self.integrity(e.to_string()))?;
         let frame = match self.header.format {
             PixelFormat::Gray8 => Frame::gray8(
                 self.header.stream,
@@ -458,6 +468,62 @@ mod tests {
         let path = tmp("garbage.ffsv");
         std::fs::write(&path, b"not a clip at all").unwrap();
         assert!(ClipReader::open(&path).is_err());
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A v2 clip file with a hand-written header and one record of `rle`.
+    fn clip_with_header(name: &str, width: usize, height: usize, rle: &[u8]) -> std::path::PathBuf {
+        let path = tmp(name);
+        let mut out = BufWriter::new(File::create(&path).unwrap());
+        out.write_all(MAGIC).unwrap();
+        let hjson =
+            format!(r#"{{"width":{width},"height":{height},"fps":30,"stream":0,"version":2}}"#);
+        write_u32(&mut out, hjson.len() as u32).unwrap();
+        out.write_all(hjson.as_bytes()).unwrap();
+        let truth = serde_json::to_vec(&GroundTruth::default()).unwrap();
+        write_u64(&mut out, 0).unwrap();
+        write_u64(&mut out, 0).unwrap();
+        write_u32(&mut out, truth.len() as u32).unwrap();
+        out.write_all(&truth).unwrap();
+        write_u32(&mut out, rle.len() as u32).unwrap();
+        out.write_all(rle).unwrap();
+        write_u64(&mut out, record_checksum(0, 0, &truth, rle)).unwrap();
+        out.flush().unwrap();
+        path
+    }
+
+    #[test]
+    fn open_rejects_empty_and_overflowing_dimensions() {
+        for (k, (w, h)) in [(0, 200), (300, 0), (usize::MAX, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let path = clip_with_header(&format!("hostile_dims_{k}.ffsv"), w, h, &[1, 0]);
+            let err = ClipReader::open(&path).err().expect("refused at open");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{w}x{h}");
+            assert!(err.to_string().contains("frames"), "{err}");
+            std::fs::remove_file(path).unwrap();
+        }
+        // the control: same writer, honest dimensions
+        let path = clip_with_header("honest_dims.ffsv", 2, 1, &[2, 9]);
+        let back = read_clip(&path).unwrap();
+        assert_eq!(back[0].frame.pixels(), &[9, 9]);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_huge_declared_frame_is_a_typed_error_not_an_allocation() {
+        // usize::MAX × 1 multiplies without overflow; the record cannot fill it
+        let path = clip_with_header("huge_dims.ffsv", usize::MAX, 1, &[255, 7]);
+        let results: Vec<_> = ClipReader::open(&path).unwrap().collect();
+        assert_eq!(results.len(), 1);
+        let det = integrity_of(results[0].as_ref().unwrap_err());
+        assert_eq!(det.frame_index, 0);
+        assert!(
+            det.detail.contains("RLE decoded 255 bytes"),
+            "{}",
+            det.detail
+        );
         std::fs::remove_file(path).unwrap();
     }
 

@@ -11,10 +11,11 @@
 //! keeps one **resident** [`StreamCheckpoint`] in memory — cursor,
 //! cumulative counters, survivors. Each epoch, every live instance runs one
 //! DES segment over its resident streams' next trace window, seeded from —
-//! and handing back — those checkpoints in memory, and persists each
-//! stream's new checkpoint once into its `inst<i>/` directory. That file is
-//! the durability, not the hand-off: it is read only to recover a dead
-//! instance's streams, by [`migrate_stream_checkpoint`], and by
+//! and handing back — those checkpoints in memory, and makes all of them
+//! durable in one [`CheckpointLog::commit`] to its `inst<i>/` directory's
+//! log: one write, one sync, what the epoch added. The log is the
+//! durability, not the hand-off: it is read only to hand a stream to
+//! another instance (a dead one's memory is never consulted) and by
 //! [`ClusterSession::restore`]. One [`ClusterSession::step`] is:
 //!
 //! 1. fire [`InstanceFault`]s: `crash@n` kills the instance whose epoch
@@ -54,8 +55,7 @@
 //! backstops even adversarial fault plans.
 
 use crate::checkpoint::{
-    load_stream_checkpoint, migrate_stream_checkpoint, renumber_checkpoint,
-    write_stream_checkpoint, StreamCheckpoint,
+    load_checkpoints, load_stream_checkpoint, renumber_checkpoint, CheckpointLog, StreamCheckpoint,
 };
 use crate::config::{FfsVaConfig, StreamThresholds};
 use crate::instance::{
@@ -69,7 +69,6 @@ use ffsva_sched::{backoff_delay, ClusterFaultPlan, FaultPlan, StageFault, MAX_BA
 use ffsva_telemetry::{Counter, Histogram, Telemetry, TelemetrySnapshot, LATENCY_BOUNDS_US};
 use ffsva_video::SourceFaultPlan;
 use serde::{Deserialize, Serialize};
-use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -230,11 +229,11 @@ struct StreamState {
     /// cumulative counters and survivors, `source_lost` (a written-off link
     /// makes the stream terminal with what it produced before the loss).
     /// Epochs seed the engine from it and take its successor back in
-    /// memory; the file in `ckpt_at`'s directory is its durable copy.
+    /// memory; the log in `ckpt_at`'s directory holds its durable copy.
     ckpt: StreamCheckpoint,
     /// Instance currently hosting it; `None` while quiesced/pending.
     home: Option<usize>,
-    /// Instance whose directory holds its checkpoint file.
+    /// Instance whose log holds its checkpoint.
     ckpt_at: Option<usize>,
     reforwards: u32,
     retries: u32,
@@ -248,6 +247,8 @@ struct StreamState {
 
 struct InstanceState {
     dir: PathBuf,
+    /// The append handle on `dir`'s checkpoint log.
+    log: CheckpointLog,
     alive: bool,
     /// Global stream ids resident here, in engine-local order.
     resident: Vec<usize>,
@@ -285,6 +286,7 @@ pub struct Cluster {
     c_instances_crashed: Counter,
     c_epochs: Counter,
     c_ckpt_writes: Counter,
+    c_ckpt_syncs: Counter,
     c_ckpt_loads: Counter,
     h_reforward_latency: Histogram,
     h_epoch_wall: Histogram,
@@ -313,6 +315,7 @@ impl Cluster {
             c_instances_crashed: c("cluster.instances_crashed"),
             c_epochs: c("cluster.epochs"),
             c_ckpt_writes: c("cluster.ckpt_writes"),
+            c_ckpt_syncs: c("cluster.ckpt_syncs"),
             c_ckpt_loads: c("cluster.ckpt_loads"),
             h_reforward_latency: h("cluster.reforward_latency_us"),
             h_epoch_wall: h("cluster.epoch_wall_us"),
@@ -381,18 +384,18 @@ impl Cluster {
     /// offered, stepped epoch by epoch, and removed at runtime — the shape
     /// `ffsva serve` drives.
     pub fn into_session(self) -> io::Result<ClusterSession> {
-        ClusterSession::create(self)
+        ClusterSession::create(self, false)
     }
 }
 
 /// On-disk schema version of [`SessionManifest`].
 pub const SESSION_SCHEMA_VERSION: u32 = 1;
 
-/// Everything a [`ClusterSession`] needs beyond its per-stream checkpoint
-/// files to resume exactly where it stopped: the epoch clock, the fleet's
+/// Everything a [`ClusterSession`] needs beyond its instances' checkpoint
+/// logs to resume exactly where it stopped: the epoch clock, the fleet's
 /// liveness/overload flags, per-stream control state, and the cluster-side
 /// fired latches for one-shot stream faults. Survivor sets are *not* here —
-/// they ride the per-stream checkpoint files in the instance directories.
+/// they ride the checkpoint logs in the instance directories.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionManifest {
     pub schema_version: u32,
@@ -413,7 +416,7 @@ pub struct InstanceManifest {
 
 /// One stream's persisted control state (its resolved trace rides along so
 /// a resumed daemon needs no access to the original source). `cursor` and
-/// `source_lost` are a readable copy: a restore takes both from the file.
+/// `source_lost` are a readable copy: a restore takes both from the log.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamManifest {
     pub traces: Vec<FrameTrace>,
@@ -459,13 +462,15 @@ pub struct ClusterSession {
 }
 
 impl ClusterSession {
-    fn create(ctrl: Cluster) -> io::Result<Self> {
+    /// Open every instance's log: empty, or with `resume` holding what an
+    /// earlier session committed.
+    fn create(ctrl: Cluster, resume: bool) -> io::Result<Self> {
         let n_inst = ctrl.cfg.instances;
         let instances: Vec<InstanceState> = (0..n_inst)
             .map(|i| {
                 let dir = ctrl.cfg.ckpt_root.join(format!("inst{i}"));
-                fs::create_dir_all(&dir)?;
                 Ok(InstanceState {
+                    log: CheckpointLog::open(&dir, resume)?,
                     dir,
                     alive: true,
                     resident: Vec::new(),
@@ -645,9 +650,9 @@ impl ClusterSession {
             for gid in std::mem::take(&mut self.instances[i].resident) {
                 let st = &mut self.streams[gid];
                 st.home = None;
-                // the snapshot to recover lives in the dead instance's
-                // directory (written at the end of its last completed
-                // epoch, if any ran)
+                // the snapshot to recover is in the dead instance's log
+                // (committed at the end of its last completed epoch, if
+                // any ran)
                 st.ckpt_at = Some(i);
                 st.next_retry_epoch = epoch;
             }
@@ -691,12 +696,9 @@ impl ClusterSession {
             order.sort_by_key(|&i| self.instances[i].resident.len());
             let target = order
                 .into_iter()
-                .find(|&i| self.ctl.can_place(i, &remaining));
+                .find(|&i| self.ctl.try_place(i, &remaining));
             match target {
-                Some(to) => {
-                    self.reforward(gid, to)?;
-                    self.ctl.place(to, remaining);
-                }
+                Some(to) => self.reforward(gid, to)?,
                 None => {
                     let st = &mut self.streams[gid];
                     st.retries += 1;
@@ -851,38 +853,37 @@ impl ClusterSession {
         Ok(())
     }
 
-    /// Move `gid`'s checkpoint file (if one exists yet) into `to`'s
-    /// directory — the atomic hand-over half of a re-forward. Off a live
-    /// instance the resident checkpoint rides along in memory; off a dead
-    /// one its memory died with it, so the stream continues from what the
-    /// file says — or fresh when it never completed an epoch there.
+    /// Move `gid`'s durable checkpoint (if it has one yet) into `to`'s log
+    /// — the hand-over half of a re-forward: read from the source
+    /// directory's log on disk, committed to the target's, and only once
+    /// that is durable forgotten in the source's, so a crash in between
+    /// leaves two copies, never none. Off a live instance the resident
+    /// checkpoint rides along in memory; off a dead one its memory died
+    /// with it, so the stream continues from what the log says — or fresh
+    /// when it never completed an epoch there.
     fn hand_over_checkpoint(&mut self, gid: usize, to: usize) -> io::Result<()> {
         let from = match self.streams[gid].ckpt_at {
             Some(from) if from != to => from,
             _ => return Ok(()),
         };
         let dead = !self.instances[from].alive;
-        match migrate_stream_checkpoint(
-            &self.instances[from].dir,
-            gid,
-            &self.instances[to].dir,
-            gid,
-        ) {
-            Ok(file) => {
+        match load_stream_checkpoint(&self.instances[from].dir, gid)? {
+            Some(on_disk) => {
+                self.instances[to]
+                    .log
+                    .commit(std::slice::from_ref(&on_disk))?;
+                self.instances[from].log.forget(gid)?;
                 self.ctrl.c_ckpt_loads.inc();
                 self.ctrl.c_ckpt_writes.inc();
+                self.ctrl.c_ckpt_syncs.add(2);
                 if dead {
                     self.ctrl.c_recoveries.inc();
-                    self.streams[gid].ckpt = file;
+                    self.streams[gid].ckpt = on_disk;
                 }
             }
-            // no file yet: the stream never finished an epoch there
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                if dead {
-                    self.streams[gid].ckpt = StreamCheckpoint::fresh(gid);
-                }
-            }
-            Err(e) => return Err(e),
+            // nothing yet: the stream never finished an epoch there
+            None if dead => self.streams[gid].ckpt = StreamCheckpoint::fresh(gid),
+            None => {}
         }
         Ok(())
     }
@@ -898,8 +899,8 @@ impl ClusterSession {
     /// One epoch of one instance: plan (each resident's checkpoint re-keyed
     /// to its engine-local slot, its next trace window cut), execute (one
     /// DES segment), fold (the checkpoints the engine hands back return to
-    /// global-id keys, become resident, and are persisted once each — the
-    /// durable copy a crash leaves behind).
+    /// global-id keys, are made durable in one commit — the copy a crash
+    /// leaves behind — and become resident).
     fn run_instance_epoch(&mut self, i: usize) -> io::Result<SimResult> {
         let resident = self.instances[i].resident.clone();
         let (inputs, bases): (Vec<StreamInput>, Vec<StreamCheckpoint>) = resident
@@ -932,11 +933,16 @@ impl ClusterSession {
         self.ctrl.h_epoch_engine.record(elapsed_us(t_engine));
 
         let t_ckpt = Instant::now();
-        for (&gid, ck) in resident.iter().zip(&checkpoints) {
-            let ck = renumber_checkpoint(ck, gid);
-            write_stream_checkpoint(&self.instances[i].dir, &ck)?;
-            self.ctrl.c_ckpt_writes.inc();
-            let st = &mut self.streams[gid];
+        let checkpoints: Vec<StreamCheckpoint> = resident
+            .iter()
+            .zip(&checkpoints)
+            .map(|(&gid, ck)| renumber_checkpoint(ck, gid))
+            .collect();
+        self.instances[i].log.commit(&checkpoints)?;
+        self.ctrl.c_ckpt_syncs.inc();
+        self.ctrl.c_ckpt_writes.add(checkpoints.len() as u64);
+        for ck in checkpoints {
+            let st = &mut self.streams[ck.stream];
             st.ckpt = ck;
             st.ckpt_at = Some(i);
         }
@@ -1056,7 +1062,7 @@ impl ClusterSession {
     }
 
     /// Export the full control state for a crash-safe drain. Pair with the
-    /// per-stream checkpoint files already in the instance directories;
+    /// checkpoint logs already in the instance directories;
     /// [`ClusterSession::restore`] rebuilds an identical session from both.
     pub fn export_manifest(&self) -> SessionManifest {
         SessionManifest {
@@ -1094,8 +1100,8 @@ impl ClusterSession {
         }
     }
 
-    /// Rebuild a session from a drained manifest plus the per-stream
-    /// checkpoint files in `ctrl`'s checkpoint root. The `ctrl` must carry
+    /// Rebuild a session from a drained manifest plus the instances'
+    /// checkpoint logs in `ctrl`'s checkpoint root. The `ctrl` must carry
     /// the same fleet size and fault plans the drained session ran with.
     pub fn restore(ctrl: Cluster, manifest: &SessionManifest) -> io::Result<ClusterSession> {
         if manifest.schema_version != SESSION_SCHEMA_VERSION {
@@ -1124,7 +1130,12 @@ impl ClusterSession {
                  — resume with the same --faults the drained run used",
             ));
         }
-        let mut session = ClusterSession::create(ctrl)?;
+        let mut session = ClusterSession::create(ctrl, true)?;
+        // each instance's log, folded once
+        let logs = session.instances.iter();
+        let mut held = logs
+            .map(|inst| load_checkpoints(&inst.dir))
+            .collect::<io::Result<Vec<_>>>()?;
         session.epoch = manifest.epoch;
         session.ctrl.fault_fired = manifest.fault_fired.clone();
         for (i, im) in manifest.instances.iter().enumerate() {
@@ -1136,16 +1147,14 @@ impl ClusterSession {
             }
         }
         for (gid, sm) in manifest.streams.iter().enumerate() {
-            // cursor, survivors and `source_lost` ride the checkpoint file,
+            // cursor, survivors and `source_lost` ride the checkpoint log,
             // not the manifest; a stream that never finished an epoch has
-            // none and starts fresh
-            let mut ckpt = StreamCheckpoint::fresh(gid);
-            if let Some(at) = sm.ckpt_at.or(sm.home) {
-                if let Some(ck) = load_stream_checkpoint(&session.instances[at].dir, gid)? {
-                    session.ctrl.c_ckpt_loads.inc();
-                    ckpt = ck;
-                }
+            // no record and starts fresh
+            let on_disk = (sm.ckpt_at.or(sm.home)).and_then(|at| held.get_mut(at)?.remove(&gid));
+            if on_disk.is_some() {
+                session.ctrl.c_ckpt_loads.inc();
             }
+            let ckpt = on_disk.unwrap_or_else(|| StreamCheckpoint::fresh(gid));
             session.streams.push(StreamState {
                 input: StreamInput {
                     traces: sm.traces.clone(),
@@ -1228,8 +1237,10 @@ pub fn find_max_cluster_streams(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::stream_ckpt_path;
     use crate::config::StreamThresholds;
     use ffsva_models::FrameTrace;
+    use std::fs;
 
     fn synthetic_input(n: usize, target_every: usize) -> StreamInput {
         let traces = (0..n)
@@ -1343,13 +1354,18 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// The epoch I/O budget: one checkpoint write per resident stream per
-    /// epoch and no read at all while the fleet is healthy; a crash reads
-    /// exactly the files it recovers. After every step each live resident's
-    /// file equals its resident checkpoint, and no scratch directory is left.
+    /// The epoch I/O budget: one record per resident stream and one sync per
+    /// instance per epoch, and no read at all while the fleet is healthy; a
+    /// crash reads exactly the checkpoints it recovers, and a hand-over
+    /// syncs the target's commit and then the source's tombstone. After
+    /// every step, across the crash, every stream's checkpoint folded from
+    /// disk equals its resident one and its survivors are a prefix of the
+    /// straight run's.
     #[test]
     fn epochs_write_each_stream_once_and_read_the_disk_only_to_recover() {
         let sys = FfsVaConfig::default();
+        let inputs: Vec<StreamInput> = (0..4).map(|_| synthetic_input(320, 8)).collect();
+        let straight = reference_survivors(&sys, &inputs);
         for (tag, faults, recovered, instance_epochs) in [
             ("healthy", ClusterFaultPlan::new(), 0, 8),
             (
@@ -1365,19 +1381,22 @@ mod tests {
                 .with_fault_plan(&faults)
                 .into_session()
                 .unwrap();
-            for _ in 0..4 {
-                session.offer(synthetic_input(320, 8));
+            for input in &inputs {
+                session.offer(input.clone());
             }
             while session.step().unwrap() {
-                for inst in session.instances.iter().filter(|inst| inst.alive) {
-                    assert!(!inst.dir.join("epoch").exists(), "{tag}: scratch dir");
-                    for &gid in &inst.resident {
-                        assert_eq!(
-                            load_stream_checkpoint(&inst.dir, gid).unwrap().as_ref(),
-                            Some(&session.streams[gid].ckpt),
-                            "{tag}: stream {gid}'s file differs from its resident checkpoint"
-                        );
+                let logs = session.instances.iter();
+                let on_disk: Vec<_> = logs.map(|i| load_checkpoints(&i.dir).unwrap()).collect();
+                for (gid, st) in session.streams.iter().enumerate() {
+                    let at = st.ckpt_at.expect("every stream ran the first epoch");
+                    for (i, held) in on_disk.iter().enumerate() {
+                        let want = (i == at).then_some(&st.ckpt);
+                        assert_eq!(held.get(&gid), want, "{tag}: stream {gid} in inst{i}");
                     }
+                    assert!(
+                        straight[gid].starts_with(&st.ckpt.survivors),
+                        "{tag}: stream {gid}'s survivors left the straight run's"
+                    );
                 }
             }
             // a restored session finds every stream's file again, those of
@@ -1393,8 +1412,13 @@ mod tests {
             assert_eq!(report.completed(), 4, "{tag}: {:?}", report.outcomes);
             assert_eq!(report.epochs, 4);
             let snap = &report.telemetry;
-            // 4 streams x 4 epochs, plus one write per migrated file
+            // 4 streams x 4 epochs, plus one record per checkpoint handed over
             assert_eq!(snap.counter("cluster.ckpt_writes"), 16 + recovered, "{tag}");
+            assert_eq!(
+                snap.counter("cluster.ckpt_syncs"),
+                instance_epochs + 2 * recovered,
+                "{tag}: one sync per instance-epoch, two per hand-over"
+            );
             assert_eq!(snap.counter("cluster.ckpt_loads"), recovered, "{tag}");
             assert_eq!(snap.counter("cluster.recoveries"), recovered, "{tag}");
             assert_eq!(snap.histograms["cluster.epoch_wall_us"].count, 4);
@@ -1408,8 +1432,8 @@ mod tests {
         }
     }
 
-    /// Disk is truth: what a crash recovers is the file, never the dead
-    /// instance's memory. A stream whose file is one epoch stale resumes
+    /// Disk is truth: what a crash recovers is the log, never the dead
+    /// instance's memory. A stream whose log is one epoch stale resumes
     /// from the stale cursor, finishes one epoch after its siblings, and
     /// still reports reference-identical survivors.
     #[test]
@@ -1434,14 +1458,21 @@ mod tests {
             session.instances[0].resident[0],
             session.instances[0].resident[1],
         );
-        let file = crate::checkpoint::stream_ckpt_path(&session.instances[0].dir, victim);
+        // tamper from outside the session: cut the victim's second epoch out
+        // of the log (the sibling's record of that epoch is put back as a
+        // commit of its own)
+        let file = stream_ckpt_path(&session.instances[0].dir, victim);
         let after_first_epoch = fs::read(&file).unwrap();
         assert!(session.step().unwrap());
         assert_eq!(session.status(victim).unwrap().cursor, 200);
         fs::write(&file, after_first_epoch).unwrap();
+        CheckpointLog::open(&session.instances[0].dir, true)
+            .unwrap()
+            .commit(std::slice::from_ref(&session.streams[sibling].ckpt))
+            .unwrap();
 
-        // the crash fires: both streams ride their files onto instance 1,
-        // the victim from frame 100, its sibling from frame 200
+        // the crash fires: both streams ride the log onto instance 1, the
+        // victim from frame 100, its sibling from frame 200
         assert!(session.step().unwrap());
         assert_eq!(session.status(victim).unwrap().cursor, 200);
         assert_eq!(session.status(sibling).unwrap().cursor, 300);

@@ -149,6 +149,10 @@ pub struct AdmissionController {
     /// passes. Measurement ages are computed against this clock.
     clock_s: f64,
     measurement_max_age_s: f64,
+    /// Per instance, whether its streams alone leave spare capacity
+    /// ([`has_spare_capacity`] of the resident-only simulation), once known
+    /// for the current membership; `None` after any change to it.
+    spare: Vec<Option<bool>>,
 }
 
 impl AdmissionController {
@@ -162,6 +166,7 @@ impl AdmissionController {
             alive: vec![true; n_instances],
             clock_s: 0.0,
             measurement_max_age_s: DEFAULT_MEASUREMENT_MAX_AGE_S,
+            spare: vec![None; n_instances],
         }
     }
 
@@ -193,6 +198,7 @@ impl AdmissionController {
     pub fn set_alive(&mut self, instance: usize, alive: bool) {
         if instance < self.alive.len() {
             self.alive[instance] = alive;
+            self.spare[instance] = None;
             if !alive {
                 self.measured_tyolo_fps[instance] = None;
             }
@@ -210,6 +216,7 @@ impl AdmissionController {
     pub fn set_streams(&mut self, instance: usize, streams: Vec<StreamInput>) {
         if instance < self.instances.len() {
             self.instances[instance] = streams;
+            self.spare[instance] = None;
         }
     }
 
@@ -256,39 +263,68 @@ impl AdmissionController {
         Some(Engine::new(self.cfg, Mode::Online, inputs).run())
     }
 
-    /// Whether `instance` could take `stream` right now: alive, measured
-    /// T-YOLO (if fresh) below the admission rate, and real-time with the
-    /// newcomer under the what-if probe. This is [`try_admit`] restricted
-    /// to one named instance, without mutating the load model.
-    ///
-    /// [`try_admit`]: AdmissionController::try_admit
-    pub fn can_place(&self, instance: usize, stream: &StreamInput) -> bool {
+    /// The what-if result of `instance` with `stream` added, when it could
+    /// take it right now: alive, measured T-YOLO (if fresh) below the
+    /// admission rate, spare capacity as it stands, and real-time with the
+    /// newcomer.
+    fn probe(&mut self, instance: usize, stream: &StreamInput) -> Option<SimResult> {
         if instance >= self.instances.len() || !self.alive[instance] {
-            return false;
+            return None;
         }
+        // Fast reject on live telemetry: an instance whose *measured*
+        // shared T-YOLO already runs at or above the admission rate has no
+        // spare capacity, whatever the simulation would predict. Stale
+        // measurements no longer apply — a silent instance falls back to
+        // the simulated probes below.
         if let Some(fps) = self.live_rate(instance) {
             if fps >= self.cfg.admission_tyolo_fps {
-                return false;
+                return None;
             }
         }
-        if !self.instances[instance].is_empty() {
-            if let Some(r) = self.simulate(instance, None) {
-                if !has_spare_capacity(&r, &self.cfg) {
-                    return false;
-                }
-            }
+        // Fast reject: if the instance already shows no spare capacity,
+        // skip the what-if (§4.3.1's T-YOLO speed signal). Simulated once
+        // per membership.
+        if self.spare[instance].is_none() {
+            let alone = self.simulate(instance, None);
+            self.spare[instance] = Some(alone.is_none_or(|r| has_spare_capacity(&r, &self.cfg)));
         }
-        match self.simulate(instance, Some(stream)) {
-            Some(r) => r.realtime(self.cfg.online_fps),
-            None => false,
+        if self.spare[instance] == Some(false) {
+            return None;
         }
+        // What-if: does the instance stay real-time with the newcomer?
+        self.simulate(instance, Some(stream))
+            .filter(|r| r.realtime(self.cfg.online_fps))
+    }
+
+    /// Whether `instance` could take `stream` right now. This is
+    /// [`try_place`] without mutating the load model.
+    ///
+    /// [`try_place`]: AdmissionController::try_place
+    pub fn can_place(&mut self, instance: usize, stream: &StreamInput) -> bool {
+        self.probe(instance, stream).is_some()
+    }
+
+    /// Place `stream` on `instance` if it can take it right now (see
+    /// [`can_place`]). The admitting what-if simulated exactly the new
+    /// membership, so its verdict is that membership's spare capacity: the
+    /// next probe of this instance does not simulate it again.
+    ///
+    /// [`can_place`]: AdmissionController::can_place
+    pub fn try_place(&mut self, instance: usize, stream: &StreamInput) -> bool {
+        let Some(r) = self.probe(instance, stream) else {
+            return false;
+        };
+        self.instances[instance].push(stream.clone());
+        self.spare[instance] = Some(has_spare_capacity(&r, &self.cfg));
+        true
     }
 
     /// Record that `stream` now runs on `instance` (a directed placement
-    /// the caller already decided, e.g. a cluster re-forward).
+    /// the caller already decided).
     pub fn place(&mut self, instance: usize, stream: StreamInput) {
         if instance < self.instances.len() {
             self.instances[instance].push(stream);
+            self.spare[instance] = None;
         }
     }
 
@@ -300,35 +336,10 @@ impl AdmissionController {
             .filter(|&i| self.alive[i])
             .collect();
         order.sort_by_key(|&i| self.instances[i].len());
-        for i in order {
-            // Fast reject on live telemetry: an instance whose *measured*
-            // shared T-YOLO already runs at or above the admission rate has
-            // no spare capacity, whatever the simulation would predict.
-            // Stale measurements no longer apply — a silent instance falls
-            // back to the simulated probes below.
-            if let Some(fps) = self.live_rate(i) {
-                if fps >= self.cfg.admission_tyolo_fps {
-                    continue;
-                }
-            }
-            // Fast reject: if the instance already shows no spare capacity,
-            // skip the expensive what-if (§4.3.1's T-YOLO speed signal).
-            if !self.instances[i].is_empty() {
-                if let Some(r) = self.simulate(i, None) {
-                    if !has_spare_capacity(&r, &self.cfg) {
-                        continue;
-                    }
-                }
-            }
-            // What-if: does the instance stay real-time with the newcomer?
-            if let Some(r) = self.simulate(i, Some(&stream)) {
-                if r.realtime(self.cfg.online_fps) {
-                    self.instances[i].push(stream);
-                    return Placement::Admitted { instance: i };
-                }
-            }
+        match order.into_iter().find(|&i| self.try_place(i, &stream)) {
+            Some(instance) => Placement::Admitted { instance },
+            None => Placement::Rejected,
         }
-        Placement::Rejected
     }
 
     /// Dismantle the controller into its per-instance stream sets.

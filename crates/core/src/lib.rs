@@ -63,8 +63,8 @@ pub use accuracy::{
 };
 pub use baseline::{run_baseline, BaselineResult};
 pub use checkpoint::{
-    load_all, load_stream_checkpoint, migrate_stream_checkpoint, renumber_checkpoint,
-    stream_ckpt_path, write_stream_checkpoint, CheckpointSpec, StreamCheckpoint,
+    load_all, load_checkpoints, load_stream_checkpoint, renumber_checkpoint, stream_ckpt_path,
+    write_stream_checkpoint, CheckpointLog, CheckpointSpec, Checkpoints, StreamCheckpoint,
     CHECKPOINT_SCHEMA_VERSION,
 };
 pub use cluster::{

@@ -11,7 +11,7 @@
 //! verdict) is written once over per-stream state and runs as a slot of the
 //! one stage executor, `ffsva_sched::pool`.
 
-use crate::checkpoint::{load_all, write_stream_checkpoint, CheckpointSpec, StreamCheckpoint};
+use crate::checkpoint::{load_all, CheckpointLog, CheckpointSpec, StreamCheckpoint};
 use crate::config::{FfsVaConfig, Precision, StreamThresholds};
 use crate::instance::stage_workers;
 use crate::tune::{DriftConfig, DriftDetector};
@@ -438,13 +438,13 @@ impl RtEngine {
         self
     }
 
-    /// Attach crash-safe checkpointing: per-stream [`StreamCheckpoint`]s are
-    /// written atomically after the pipeline drains (the RT engine
-    /// checkpoints at end-of-run; the DES also checkpoints periodically at
-    /// quiescent boundaries), carrying the thresholds and SDD reference the
-    /// stages ended the run with. `spec.resume` re-seeds counters, survivors,
-    /// and the source cursor so a killed-and-resumed run reports telemetry
-    /// identical to an uninterrupted one.
+    /// Attach crash-safe checkpointing: every stream's [`StreamCheckpoint`]
+    /// goes to the directory's log in one commit after the pipeline drains
+    /// (the RT engine checkpoints at end-of-run; the DES also checkpoints
+    /// periodically at quiescent boundaries), carrying the thresholds and
+    /// SDD reference the stages ended the run with. `spec.resume` re-seeds
+    /// counters, survivors, and the source cursor so a killed-and-resumed
+    /// run reports telemetry identical to an uninterrupted one.
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.ckpt = Some(spec);
         self
@@ -486,7 +486,6 @@ impl RtEngine {
             drift,
             stage_workers: workers,
         } = self;
-        let ckpt = ckpt.as_ref();
         let start = Instant::now();
         let n_streams = streams.len();
         let num_tyolo = cfg.num_tyolo.max(1);
@@ -518,7 +517,10 @@ impl RtEngine {
         let faulty = !src_plan.is_empty();
         // Resume: load per-stream checkpoints and re-seed their counters into
         // the live cells, so the final telemetry reads as one uninterrupted run.
-        let bases: Vec<StreamCheckpoint> = match ckpt {
+        let mut ckpt_log = ckpt.as_ref().map(|spec| {
+            CheckpointLog::open(&spec.dir, spec.resume).expect("open the checkpoint log")
+        });
+        let bases: Vec<StreamCheckpoint> = match &ckpt {
             Some(spec) if spec.resume => load_all(&spec.dir, n_streams).expect("load checkpoints"),
             _ => (0..n_streams).map(StreamCheckpoint::fresh).collect(),
         };
@@ -997,9 +999,10 @@ impl RtEngine {
         // Final checkpoints: every stage has joined, so all counters are
         // quiescent. Written before the final snapshot so `checkpoint.writes`
         // lands in the reported telemetry.
-        if let Some(spec) = ckpt {
+        if let Some(log) = &mut ckpt_log {
             let snap = tel.snapshot();
             let (c_writes, h_age) = ckpt_tel.as_ref().expect("registered with spec");
+            let mut cks = Vec::with_capacity(n_streams);
             for s in 0..n_streams {
                 let mut ck = StreamCheckpoint::fresh(s);
                 ck.cursor = reports[s].cursor.max(bases[s].cursor);
@@ -1026,10 +1029,11 @@ impl RtEngine {
                     r.stats.duplicates,
                 ]);
                 ck.bank_counters(&bases[s], &snap, r.stats.delivered, src);
-                write_stream_checkpoint(&spec.dir, &ck).expect("write checkpoint");
+                cks.push(ck);
                 c_writes.inc();
                 h_age.record(start.elapsed().as_secs_f64() * 1e3);
             }
+            log.commit(&cks).expect("write checkpoint");
         }
 
         let wall = start.elapsed().as_secs_f64();

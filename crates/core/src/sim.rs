@@ -10,7 +10,7 @@
 //! re-run only the scheduling, exactly like the paper sweeps one knob at a
 //! time on fixed videos.
 
-use crate::checkpoint::{load_all, write_stream_checkpoint, CheckpointSpec, StreamCheckpoint};
+use crate::checkpoint::{load_all, CheckpointLog, CheckpointSpec, StreamCheckpoint};
 use crate::config::{FfsVaConfig, StreamThresholds};
 use crate::rt_engine::SurvivingFrame;
 use ffsva_models::cost::{sdd_cost, snm_cost, tyolo_cost, yolov2_cost};
@@ -436,8 +436,9 @@ pub struct Engine {
     /// [`Engine::with_source_plan`]; `None` keeps the pristine feed path and
     /// leaves the `src` telemetry scopes unregistered.
     source_plan: Option<SourceFaultPlan>,
-    /// Crash-safe checkpointing, attached via [`Engine::with_checkpoint`].
-    ckpt: Option<CheckpointSpec>,
+    /// Crash-safe checkpointing, attached via [`Engine::with_checkpoint`]:
+    /// the write cadence in frames and the directory's log.
+    ckpt: Option<(u64, CheckpointLog)>,
     c_ckpt_writes: Option<Counter>,
     h_ckpt_age: Option<Histogram>,
     telemetry: Telemetry,
@@ -606,9 +607,10 @@ impl Engine {
 
     /// Attach crash-safe checkpointing — the file front-end of
     /// [`Engine::resume_from`] / [`Engine::run_segment`]: periodic per-stream
-    /// snapshots into `spec.dir` at quiescent boundaries plus a final one per
-    /// stream at run end. With `spec.resume`, the checkpoints already there
-    /// are loaded, the consumed head of each input is skipped, and the run is
+    /// commits to `spec.dir`'s log at quiescent boundaries (each carries the
+    /// survivors since the stream's last one) plus one commit of every stream
+    /// at run end. With `spec.resume`, the checkpoints already there are
+    /// loaded, the consumed head of each input is skipped, and the run is
     /// seeded from them so it continues exactly where the previous stopped.
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.c_ckpt_writes = Some(self.telemetry.counter("checkpoint.writes"));
@@ -616,6 +618,7 @@ impl Engine {
             self.telemetry
                 .histogram("checkpoint.age_ms", LATENCY_BOUNDS_US),
         );
+        let log = CheckpointLog::open(&spec.dir, spec.resume).expect("open the checkpoint log");
         if spec.resume {
             let bases =
                 load_all(&spec.dir, self.streams.len()).expect("load checkpoints for resume");
@@ -625,7 +628,7 @@ impl Engine {
             }
             self = self.resume_from(bases);
         }
-        self.ckpt = Some(spec);
+        self.ckpt = Some((spec.interval_frames, log));
         self
     }
 
@@ -921,16 +924,18 @@ impl Engine {
     /// rely on the final write in `finish` (kill granularity for faulted
     /// runs comes from segmenting the input, e.g. the CLI's `--stop-after`).
     fn maybe_checkpoint(&mut self, s: usize, now: f64) {
-        let Some(spec) = &self.ckpt else { return };
+        let Some((interval_frames, _)) = &self.ckpt else {
+            return;
+        };
         let st = &self.streams[s];
         if st.ingest.is_some()
             || st.disposed != st.next_idx as u64
-            || st.disposed < st.last_ckpt_disposed + spec.interval_frames
+            || st.disposed < st.last_ckpt_disposed + interval_frames
         {
             return;
         }
         let ck = self.build_checkpoint(s, &self.telemetry.snapshot());
-        self.write_checkpoint(&ck, now);
+        self.commit_checkpoints(&[ck], now);
     }
 
     /// Assemble one stream's checkpoint — the one place it is built: its
@@ -959,19 +964,23 @@ impl Engine {
         ck
     }
 
-    /// Persist one built checkpoint into the attached directory.
-    fn write_checkpoint(&mut self, ck: &StreamCheckpoint, now: f64) {
-        let Some(spec) = &self.ckpt else { return };
-        write_stream_checkpoint(&spec.dir, ck).expect("write checkpoint");
-        if let Some(c) = &self.c_ckpt_writes {
-            c.inc();
+    /// Make built checkpoints durable in the attached log, in one commit.
+    fn commit_checkpoints(&mut self, cks: &[StreamCheckpoint], now: f64) {
+        let Some((_, log)) = &mut self.ckpt else {
+            return;
+        };
+        log.commit(cks).expect("write checkpoint");
+        for ck in cks {
+            if let Some(c) = &self.c_ckpt_writes {
+                c.inc();
+            }
+            let st = &mut self.streams[ck.stream];
+            if let Some(h) = &self.h_ckpt_age {
+                h.record((now - st.last_ckpt_us).max(0.0) / 1e3);
+            }
+            st.last_ckpt_disposed = st.disposed;
+            st.last_ckpt_us = now;
         }
-        let st = &mut self.streams[ck.stream];
-        if let Some(h) = &self.h_ckpt_age {
-            h.record((now - st.last_ckpt_us).max(0.0) / 1e3);
-        }
-        st.last_ckpt_disposed = st.disposed;
-        st.last_ckpt_us = now;
     }
 
     /// Try to make progress everywhere until a fixpoint.
@@ -1366,9 +1375,7 @@ impl Engine {
         }
         if self.ckpt.is_some() {
             let now = self.events.now();
-            for ck in &checkpoints {
-                self.write_checkpoint(ck, now);
-            }
+            self.commit_checkpoints(&checkpoints, now);
             // so `checkpoint.writes` lands in the reported telemetry
             telemetry = self.telemetry.snapshot();
         }

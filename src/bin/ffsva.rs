@@ -68,7 +68,7 @@ Fault plans inject deterministic failures, keyed on frame seq, e.g.
 
 --instances N runs the cluster control plane: N resident engine instances
 under telemetry-driven admission, with streams re-forwarded across
-instances by riding their checkpoint files. Fault plans then also accept
+instances by riding their checkpoint logs. Fault plans then also accept
 instance scope, e.g.
   --fault-plan 'instance0:crash@150,instance1:slow@300+40ms'
 (grammar: instance<I>:crash@N|slow@N+DURms, mixable with stream faults).
@@ -77,8 +77,9 @@ instance scope, e.g.
 Source-fault plans make the ingest links unreliable, e.g.
   --source-faults 'stream0.src:disconnect@50+500ms,stream1.src:drop@10..13'
 (grammar: stream<S>.src:disconnect@N+DURms|corrupt@N|drop@N..M|reorder@N+K|dup@N).
---checkpoint-dir writes crash-safe per-stream snapshots; --resume continues
-from them; --stop-after N truncates each stream's input to simulate a kill.
+--checkpoint-dir appends crash-safe per-stream snapshots to the directory's
+checkpoints.log; --resume continues from them; --stop-after N truncates each
+stream's input to simulate a kill.
   ffsva capacity --workload <name> [--frames N] [--train-frames N]
                  [--filter-gpus N] [--ref-gpus N] [--max-streams N]
                  [--tor F] [--seed N] [--target <class>] [--fast]
@@ -738,8 +739,14 @@ fn cmd_simulate(args: &mut Args) -> Result<(), String> {
     let checkpoint_dir = args.opt("checkpoint-dir")?.map(PathBuf::from);
     let resume = args.flag("resume");
     let stop_after: usize = args.parsed("stop-after", usize::MAX)?;
-    if resume && checkpoint_dir.is_none() {
-        return Err("--resume requires --checkpoint-dir".into());
+    if resume {
+        let Some(dir) = &checkpoint_dir else {
+            return Err("--resume requires --checkpoint-dir".into());
+        };
+        // a schema 1 or damaged directory is an error message here, not a
+        // panic in the engine after the streams were prepared
+        ffs_va::core::load_checkpoints(dir)
+            .map_err(|e| format!("cannot resume from {}: {e}", dir.display()))?;
     }
     if stop_after == 0 {
         return Err("--stop-after must be positive".into());

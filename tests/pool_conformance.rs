@@ -10,8 +10,10 @@
 //! recalibration, and kill-and-resume.
 
 use ffs_va::core::accuracy::cascade_pass;
-use ffs_va::core::checkpoint::stream_ckpt_path;
-use ffs_va::core::{CheckpointSpec, DriftConfig, Engine, Mode, StreamInput, StreamThresholds};
+use ffs_va::core::{
+    load_stream_checkpoint, CheckpointSpec, DriftConfig, Engine, Mode, StreamCheckpoint,
+    StreamInput, StreamThresholds,
+};
 use ffs_va::models::reference::ReferenceModel;
 use ffs_va::models::sdd::SddFilter;
 use ffs_va::models::snm::{SnmModel, SnmReport, SnmTrainOptions};
@@ -185,8 +187,10 @@ struct Observed {
     quarantined: Vec<bool>,
     /// Series names outside the engine-private `rt.` namespace.
     public_names: Vec<String>,
-    /// The end-of-run checkpoint file of every stream, byte for byte.
-    checkpoints: Vec<Vec<u8>>,
+    /// Every stream's end-of-run checkpoint as the directory's log folds to
+    /// it (a resumed run's log holds more lines than a straight run's; the
+    /// state they fold to must not differ).
+    checkpoints: Vec<StreamCheckpoint>,
 }
 
 /// Run `engine` with end-of-run checkpoints into `spec`'s directory and
@@ -207,7 +211,11 @@ fn observe_into(engine: RtEngine, spec: CheckpointSpec) -> (MultiRtResult, Obser
         quarantined: r.stream_health.iter().map(|h| h.quarantined).collect(),
         public_names: r.telemetry.conformant_names(),
         checkpoints: (0..r.survivors.len())
-            .map(|s| std::fs::read(stream_ckpt_path(&dir, s)).expect("end-of-run checkpoint"))
+            .map(|s| {
+                load_stream_checkpoint(&dir, s)
+                    .expect("readable log")
+                    .expect("end-of-run checkpoint")
+            })
             .collect(),
     };
     // the executor really ran as a pool: its engine-private series exist
